@@ -38,7 +38,6 @@ from .connection import (
     conc_dependence_witness,
     conc_dependent,
     connection_witness,
-    count_paths_within,
     cov_dependence_witness,
     cov_dependent,
 )

@@ -160,6 +160,9 @@ def _cmd_explain(args) -> int:
 
 def _cmd_verify(args) -> int:
     scope = args.scope
+    if args.graphs is not None and scope != "all":
+        raise ValueError("--graphs applies to --scope all; "
+                         "--trials sets the count of a single scope")
     if scope == "theorems":
         result = theorems_sweep(args.n_max or 5, args.trials or 200, args.seed)
     elif scope == "latent":
@@ -172,8 +175,8 @@ def _cmd_verify(args) -> int:
         )
     else:
         result = full_verification(
-            args.n_max or 5, args.trials or 200, args.trials or 100,
-            args.seed, args.tol,
+            args.n_max or 5, 200 if args.graphs is None else args.graphs,
+            args.trials or 100, args.seed, args.tol,
         )
     parts = result.get("parts", [result])
     lines = []
@@ -282,7 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["theorems", "latent", "forest", "corollaries", "all"])
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None,
+                   help="random graphs (theorems) or Gaussian trials "
+                        "(corollaries, all)")
+    p.add_argument("--graphs", type=int, default=None,
+                   help="random graphs of the theorems sweep under "
+                        "--scope all (default 200)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

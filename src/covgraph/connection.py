@@ -10,7 +10,7 @@ into "a single path whose nodes all lie in {A, B} | Z".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graphs import (
     GraphKind,
@@ -19,6 +19,7 @@ from .graphs import (
     SizeLimitError,
     bit,
     iter_nodes,
+    reachable,
 )
 from .separation import CITriple, canonical_triples, check_triple
 
@@ -48,49 +49,40 @@ class PathWitness:
         return "-".join(labels[v] for v in self.nodes)
 
 
-def count_paths_within(
-    g: MixedGraph,
-    a: int,
-    b: int,
-    allowed: NodeSet,
-    cap: int = 2,
-) -> tuple[int, list[PathWitness]]:
-    """Number of simple paths a..b using only `allowed` nodes, counted up
-    to `cap`, with the paths found returned as witnesses."""
-    if not g.is_undirected_graph:
-        raise ValueError("path counting is defined on undirected graphs")
-    if a == b:
-        raise ValueError("endpoints must differ")
-    if not ((allowed >> a) & 1 and (allowed >> b) & 1):
-        raise ValueError("both endpoints must be in the allowed set")
+def _unique_path(
+    adj: Sequence[NodeSet], a: int, b: int, allowed: NodeSet
+) -> Optional[PathWitness]:
+    """The simple path a..b inside `allowed` if it is the only one, else
+    None.  `a` and `b` must differ and both lie in `allowed`.
+
+    Walks back from b: every a..v path enters v from the part of `allowed`
+    that a reaches without v, so v needs exactly one neighbor u there, and
+    the a..v paths are then exactly the a..u paths inside that part.
+    """
+    path = [b]
+    v = b
+    while v != a:
+        allowed = reachable(adj, 1 << a, allowed & ~(1 << v))
+        entry = adj[v] & allowed
+        if not entry or entry & (entry - 1):
+            return None
+        v = entry.bit_length() - 1
+        path.append(v)
+    return PathWitness(tuple(reversed(path)))
+
+
+def _first_unique_path(
+    g: MixedGraph, x: NodeSet, y: NodeSet, through: NodeSet
+) -> Optional[PathWitness]:
+    """The unique path of the first pair A in X, B in Y that has exactly
+    one simple path inside {A, B} | `through`."""
     adj = g.und_adj
-    target = 1 << b
-    count = 0
-    witnesses: list[PathWitness] = []
-    # Depth-first over simple paths with an explicit stack: path holds the
-    # current node sequence, avail_stack the unexplored neighbor masks.
-    visited = 1 << a
-    path = [a]
-    avail_stack = [adj[a] & allowed & ~visited]
-    while avail_stack:
-        avail = avail_stack[-1]
-        if not avail:
-            avail_stack.pop()
-            visited ^= 1 << path.pop()
-            continue
-        low = avail & -avail
-        avail_stack[-1] = avail ^ low
-        if low == target:
-            count += 1
-            witnesses.append(PathWitness(tuple(path) + (b,)))
-            if count >= cap:
-                break
-        else:
-            w = low.bit_length() - 1
-            path.append(w)
-            visited |= low
-            avail_stack.append(adj[w] & allowed & ~visited)
-    return count, witnesses
+    for a in iter_nodes(x):
+        for b in iter_nodes(y):
+            w = _unique_path(adj, a, b, through | bit(a) | bit(b))
+            if w is not None:
+                return w
+    return None
 
 
 def connection_witness(
@@ -99,13 +91,9 @@ def connection_witness(
     """Witness for con(X, Y | Z): the unique simple path for the first
     pair A in X, B in Y with exactly one path avoiding (X|Y|Z) \\ {A, B}."""
     check_triple(g, x, y, z)
-    outside = g.full_mask & ~(x | y | z)
-    for a in iter_nodes(x):
-        for b in iter_nodes(y):
-            cnt, wits = count_paths_within(g, a, b, outside | bit(a) | bit(b))
-            if cnt == 1:
-                return wits[0]
-    return None
+    if not g.is_undirected_graph:
+        raise ValueError("connection is defined on undirected graphs")
+    return _first_unique_path(g, x, y, g.full_mask & ~(x | y | z))
 
 
 def con(g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet) -> bool:
@@ -120,12 +108,7 @@ def cov_dependence_witness(
     check_triple(g, x, y, z)
     if not g.is_undirected_graph:
         raise ValueError("covariance reading requires an undirected graph")
-    for a in iter_nodes(x):
-        for b in iter_nodes(y):
-            cnt, wits = count_paths_within(g, a, b, z | bit(a) | bit(b))
-            if cnt == 1:
-                return wits[0]
-    return None
+    return _first_unique_path(g, x, y, z)
 
 
 def cov_dependent(g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet) -> bool:

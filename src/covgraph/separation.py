@@ -62,10 +62,6 @@ class CITriple:
         )
 
 
-def _canon(x: NodeSet, y: NodeSet, z: NodeSet) -> tuple[int, int, int]:
-    return (x, y, z) if x <= y else (y, x, z)
-
-
 def check_triple(g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet) -> None:
     if (x | y | z) & ~g.full_mask:
         raise ValueError("triple mentions nodes outside the graph")

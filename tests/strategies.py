@@ -1,4 +1,4 @@
-"""Hypothesis strategies for small graphs."""
+"""Hypothesis strategies for small graphs, and fixed adversarial graphs."""
 
 from __future__ import annotations
 
@@ -72,3 +72,13 @@ def dags(draw, min_n: int = 1, max_n: int = 5):
 @st.composite
 def node_masks(draw, graph: MixedGraph):
     return draw(st.integers(min_value=0, max_value=graph.full_mask))
+
+
+def dead_end_clique(k: int) -> MixedGraph:
+    """Edge a-b plus a k-clique on a (a and k further nodes).  b is the
+    last node, so a walk from a that tries neighbors in node order meets
+    the clique first."""
+    clique = [f"c{i}" for i in range(k)]
+    edges = [("a", "b")] + [("a", c) for c in clique]
+    edges += [(c, d) for c, d in combinations(clique, 2)]
+    return MixedGraph.ug(["a", *clique, "b"], edges)

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from covgraph import parse_graph
+from covgraph import format_graph, parse_graph
 from covgraph.cli import main
+from strategies import dead_end_clique
 
 CYCLE4 = "A -- B\nB -- C\nC -- D\nD -- A\n"
 PATH3 = "A -- B\nB -- C\n"
@@ -59,6 +60,16 @@ class TestQueryCommands:
                                         "-X", "A", "-Y", "C", "-Z", "B,D"])
         assert code == 1
         assert out.strip() == "NOT-DEPENDENT"
+
+    def test_dep_dead_end_clique(self, capsys, tmp_path):
+        # one path a-b beside a 20-clique of dead ends
+        g = dead_end_clique(20)
+        p = tmp_path / "clique.g"
+        p.write_text(format_graph(g))
+        code, out, _ = run_cli(capsys, ["dep", "-g", str(p), "-X", "a", "-Y", "b",
+                                        "-Z", ",".join(g.labels[1:-1])])
+        assert code == 0
+        assert out.strip() == "DEPENDENT, witness a-b"
 
     def test_overlap_is_error(self, capsys, cycle4_file):
         code, _, err = run_cli(capsys, ["dep", "-g", cycle4_file,
@@ -152,6 +163,30 @@ class TestVerifyCommands:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert payload["seed"] == 7
+
+    def test_all_separates_graphs_from_trials(self, capsys, monkeypatch):
+        # shrink the latent, forest and Gaussian sweeps to 3 nodes so the
+        # theorems sweep runs its random 5-node graphs in test time
+        import covgraph.verify as verify
+        for name in ("latent_sweep", "forest_sweep"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda n, real=real: real(min(n, 3)))
+        real_cor = verify.corollaries_sweep
+        monkeypatch.setattr(verify, "corollaries_sweep",
+                            lambda n, *rest: real_cor(min(n, 3), *rest))
+        code, out, _ = run_cli(capsys, ["verify", "--scope", "all",
+                                        "--graphs", "3", "--trials", "7",
+                                        "--json"])
+        assert code == 0
+        parts = {part["scope"]: part for part in json.loads(out)["parts"]}
+        assert parts["theorems"]["random_graphs"] == 3
+        assert parts["corollaries"]["trials"] == 7
+
+    def test_graphs_needs_scope_all(self, capsys):
+        code, _, err = run_cli(capsys, ["verify", "--scope", "theorems",
+                                        "--graphs", "3"])
+        assert code == 2
+        assert "--scope all" in err
 
     def test_json_roundtrip_identity(self, capsys):
         _, out, _ = run_cli(capsys, ["verify", "--scope", "theorems",

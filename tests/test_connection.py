@@ -1,6 +1,7 @@
 """Single-path dependence criteria against exhaustive path enumeration."""
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -16,17 +17,18 @@ from covgraph import (
     canonical_triples,
     ci_independent,
     con,
+    conc_dependence_witness,
     conc_dependent,
     connection_witness,
-    count_paths_within,
     cov_dependence_witness,
     cov_dependent,
     iter_nodes,
     mask_of,
 )
+from covgraph.connection import _unique_path
 from covgraph.smallgraphs import all_ugs, random_ug
-from oracles import count_paths_bruteforce
-from strategies import ugs
+from oracles import all_simple_paths, count_paths_bruteforce, und_neighbor_sets
+from strategies import dead_end_clique, ugs
 
 COV = GraphKind.COVARIANCE
 CONC = GraphKind.CONCENTRATION
@@ -58,35 +60,41 @@ class TestPathWitness:
 
 
 class TestCountPaths:
+    """The unique-path test against the brute-force path count."""
+
     def test_cycle_one_side(self):
         g = cycle4()
-        count, wits = count_paths_within(g, 0, 2, mask_of([0, 1, 2]))
-        assert count == 1
-        assert wits[0].nodes == (0, 1, 2)
+        assert count_paths_bruteforce(g, 0, 2, {0, 1, 2}) == 1
+        w = _unique_path(g.und_adj, 0, 2, mask_of([0, 1, 2]))
+        assert w is not None and w.nodes == (0, 1, 2)
 
     def test_cycle_both_sides(self):
         g = cycle4()
-        count, wits = count_paths_within(g, 0, 2, g.full_mask)
-        assert count == 2
-        assert {w.nodes for w in wits} == {(0, 1, 2), (0, 3, 2)}
+        assert count_paths_bruteforce(g, 0, 2, set(range(4))) == 2
+        assert _unique_path(g.und_adj, 0, 2, g.full_mask) is None
 
     def test_no_edges_no_paths(self):
         g = MixedGraph.ug("AB")
-        assert count_paths_within(g, 0, 1, g.full_mask) == (0, [])
+        assert count_paths_bruteforce(g, 0, 1, {0, 1}) == 0
+        assert _unique_path(g.und_adj, 0, 1, g.full_mask) is None
 
-    def test_cap_saturates(self):
+    def test_complete_graph_paths(self):
         comp = MixedGraph.ug("ABCD", [(a, b) for a in "ABCD" for b in "ABCD" if a < b])
-        count, _ = count_paths_within(comp, 0, 3, comp.full_mask, cap=2)
-        assert count == 2
-        count, _ = count_paths_within(comp, 0, 3, comp.full_mask, cap=10)
-        assert count == 5
+        assert count_paths_bruteforce(comp, 0, 3, set(range(4))) == 5
+        assert _unique_path(comp.und_adj, 0, 3, comp.full_mask) is None
+        w = _unique_path(comp.und_adj, 0, 3, mask_of([0, 3]))
+        assert w is not None and w.nodes == (0, 3)
 
     def test_input_validation(self):
+        # the endpoints of every pair come from disjoint, in-graph X and Y,
+        # and only undirected graphs reach the path test
         g = cycle4()
         with pytest.raises(ValueError):
-            count_paths_within(g, 0, 0, g.full_mask)
+            connection_witness(g, bit(0), bit(0), 0)
         with pytest.raises(ValueError):
-            count_paths_within(g, 0, 2, mask_of([0, 1]))
+            cov_dependence_witness(g, bit(0), bit(4), 0)
+        with pytest.raises(ValueError):
+            connection_witness(MixedGraph.dag("AB", [("A", "B")]), bit(0), bit(1), 0)
 
     @given(ugs(min_n=2, max_n=5), st.data())
     @settings(max_examples=300, deadline=None)
@@ -97,14 +105,56 @@ class TestCountPaths:
             b = (a + 1) % g.n
         allowed = data.draw(st.integers(0, g.full_mask)) | bit(a) | bit(b)
         expect = count_paths_bruteforce(g, a, b, set(iter_nodes(allowed)))
-        count, wits = count_paths_within(g, a, b, allowed, cap=1 << g.n)
-        assert count == expect
-        for w in wits:
+        w = _unique_path(g.und_adj, a, b, allowed)
+        assert (w is not None) == (expect == 1)
+        if w is not None:
             w.check(g)
+            assert (w.a, w.b) == (a, b)
             assert mask_of(w.nodes) & ~allowed == 0
+
+    def test_exhaustive_up_to_five_nodes(self):
+        # every labeled UG, ordered pair and allowed set: a path comes back
+        # iff exactly one simple path exists, and it is that path
+        cases = 0
+        for n in range(2, 6):
+            for g in all_ugs(n):
+                nbr = und_neighbor_sets(g)
+                for a, b in permutations(range(n), 2):
+                    ends = bit(a) | bit(b)
+                    for allowed in range(1 << n):
+                        if allowed & ends != ends:
+                            continue
+                        paths = all_simple_paths(nbr, a, b, set(iter_nodes(allowed)))
+                        w = _unique_path(g.und_adj, a, b, allowed)
+                        if len(paths) == 1:
+                            assert w is not None and list(w.nodes) == paths[0]
+                        else:
+                            assert w is None
+                        cases += 1
+        assert cases == 167012
+
+
+@pytest.mark.parametrize("k", [20, 60])
+class TestDeadEndClique:
+    def test_covariance_given_rest(self, k):
+        g = dead_end_clique(k)
+        a, b = bit(0), bit(k + 1)
+        rest = g.full_mask & ~(a | b)
+        w = cov_dependence_witness(g, a, b, rest)
+        assert w is not None and w.nodes == (0, k + 1)
+
+    def test_concentration_marginal(self, k):
+        g = dead_end_clique(k)
+        w = conc_dependence_witness(g, bit(0), bit(k + 1), 0)
+        assert w is not None and w.nodes == (0, k + 1)
 
 
 class TestCon:
+    def test_rejects_dag(self):
+        g = MixedGraph.dag("ABC", [("A", "B"), ("B", "C")])
+        with pytest.raises(ValueError):
+            con(g, bit(0), bit(2), 0)
+
     def test_path_endpoints(self):
         g = MixedGraph.ug("ABC", [("A", "B"), ("B", "C")])
         assert con(g, bit(0), bit(2), 0)

@@ -8,7 +8,6 @@ from covgraph import (
     SizeLimitError,
     ancestors,
     bit,
-    count_paths_within,
     is_chain_graph,
     is_forest,
     latent_dag,
@@ -16,7 +15,9 @@ from covgraph import (
     verify_forest_faithfulness,
     verify_latent_equivalence,
 )
+from covgraph.connection import _unique_path
 from covgraph.smallgraphs import all_forests, all_ugs
+from oracles import count_paths_bruteforce
 
 COV = GraphKind.COVARIANCE
 
@@ -118,11 +119,14 @@ class TestForest:
             assert sum(1 for _ in all_forests(n)) == expect
 
     def test_forest_paths_are_unique(self):
+        # in a forest every connected pair has exactly one path
         for g in all_forests(4):
             for i in range(4):
                 for j in range(i + 1, 4):
-                    count, _ = count_paths_within(g, i, j, g.full_mask, cap=5)
+                    count = count_paths_bruteforce(g, i, j, set(range(4)))
                     assert count <= 1
+                    w = _unique_path(g.und_adj, i, j, g.full_mask)
+                    assert (w is not None) == (count == 1)
 
 
 class TestForestFaithfulness:
