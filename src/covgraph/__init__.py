@@ -18,7 +18,6 @@ from .graphs import (
     is_chain_graph,
     iter_nodes,
     mask_of,
-    moral_graph,
     node_list,
     parse_graph,
     submasks,
@@ -28,7 +27,6 @@ from .separation import (
     all_independencies,
     canonical_triples,
     ci_independent,
-    cov_independent_by_separation,
     sep,
 )
 from .connection import (
@@ -56,7 +54,6 @@ from .gaussian import (
     DEFAULT_TOL,
     FaithfulnessReport,
     GaussianModel,
-    NdParameterization,
     cholesky,
     ci_test,
     concentration_graph_of,

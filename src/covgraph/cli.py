@@ -158,25 +158,30 @@ def _cmd_explain(args) -> int:
     return EXIT_HOLDS
 
 
+def _given(value: int | None, default: int) -> int:
+    """A count flag's value, or its default when the flag was not given."""
+    return default if value is None else value
+
+
 def _cmd_verify(args) -> int:
     scope = args.scope
     if args.graphs is not None and scope != "all":
         raise ValueError("--graphs applies to --scope all; "
                          "--trials sets the count of a single scope")
     if scope == "theorems":
-        result = theorems_sweep(args.n_max or 5, args.trials or 200, args.seed)
+        result = theorems_sweep(_given(args.n_max, 5), _given(args.trials, 200), args.seed)
     elif scope == "latent":
-        result = latent_sweep(args.n_max or 5)
+        result = latent_sweep(_given(args.n_max, 5))
     elif scope == "forest":
-        result = forest_sweep(args.n_max or 6)
+        result = forest_sweep(_given(args.n_max, 6))
     elif scope == "corollaries":
         result = corollaries_sweep(
-            args.n_max or 5, args.trials or 100, args.seed, args.tol
+            _given(args.n_max, 5), _given(args.trials, 100), args.seed, args.tol
         )
     else:
         result = full_verification(
-            args.n_max or 5, 200 if args.graphs is None else args.graphs,
-            args.trials or 100, args.seed, args.tol,
+            _given(args.n_max, 5), _given(args.graphs, 200),
+            _given(args.trials, 100), args.seed, args.tol,
         )
     parts = result.get("parts", [result])
     lines = []

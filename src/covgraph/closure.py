@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .connection import all_dependencies
-from .graphs import GraphKind, MixedGraph, SizeLimitError, bit
+from .graphs import GraphKind, MixedGraph, SizeLimitError, bit, disjoint_splits, iter_nodes
 from .report import Report
 from .separation import CITriple, ci_independent
 
@@ -83,45 +82,22 @@ def _canon(x: int, y: int, z: int) -> tuple[int, int, int]:
 @lru_cache(maxsize=None)
 def _set_splits(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """All (X, Y, Z, W) with X, Y, W nonempty and X, Y, Z, W disjoint."""
-    out = []
-    for assignment in product(range(5), repeat=n):
-        x = y = z = w = 0
-        for v, a in enumerate(assignment):
-            if a == 0:
-                x |= 1 << v
-            elif a == 1:
-                y |= 1 << v
-            elif a == 2:
-                z |= 1 << v
-            elif a == 3:
-                w |= 1 << v
-        if x and y and w:
-            out.append((x, y, z, w))
-    return tuple(out)
+    return tuple(
+        (x, y, z, w)
+        for x, y, z, w, _rest in disjoint_splits(n, 5)
+        if x and y and w
+    )
 
 
 @lru_cache(maxsize=None)
 def _node_splits(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """All (X, Y, Z, K) with X, Y nonempty, K a single node, all disjoint."""
-    out = []
-    for assignment in product(range(4), repeat=n):
-        x = y = z = rest = 0
-        for v, a in enumerate(assignment):
-            if a == 0:
-                x |= 1 << v
-            elif a == 1:
-                y |= 1 << v
-            elif a == 2:
-                z |= 1 << v
-            else:
-                rest |= 1 << v
-        if x and y:
-            k = rest
-            while k:
-                low = k & -k
-                out.append((x, y, z, low))
-                k ^= low
-    return tuple(out)
+    return tuple(
+        (x, y, z, bit(k))
+        for x, y, z, rest in disjoint_splits(n, 4)
+        if x and y
+        for k in iter_nodes(rest)
+    )
 
 
 def saturate(

@@ -112,20 +112,6 @@ def nd_dimension(g: MixedGraph) -> int:
     return 2 * g.n + len(g.undirected)
 
 
-@dataclass(frozen=True)
-class NdParameterization:
-    graph: MixedGraph
-    nd_count: int
-
-    def __post_init__(self) -> None:
-        if self.nd_count != nd_dimension(self.graph):
-            raise ValueError("nd parameter count does not match the graph")
-
-    @classmethod
-    def of_graph(cls, g: MixedGraph) -> "NdParameterization":
-        return cls(g, nd_dimension(g))
-
-
 def trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
@@ -242,6 +228,20 @@ class FaithfulnessReport:
         }
 
 
+def pair_verdicts(g: MixedGraph) -> list[tuple[int, int, NodeSet, bool]]:
+    """(i, j, K, verdict) for every pair i < j and every K avoiding both,
+    where verdict is the covariance criterion on i independent of j given
+    K: the table a model's determinant tests are compared against."""
+    table = []
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            rest = g.full_mask & ~bit(i) & ~bit(j)
+            for k in submasks(rest):
+                verdict = ci_independent(g, GraphKind.COVARIANCE, bit(i), bit(j), k)
+                table.append((i, j, k, verdict))
+    return table
+
+
 def faithfulness_report(
     g: MixedGraph,
     trials: int,
@@ -255,13 +255,7 @@ def faithfulness_report(
         raise SizeLimitError(f"faithfulness sweep limited to {max_nodes} nodes")
     if trials < 1:
         raise ValueError("at least one trial required")
-    expected = []
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            rest = g.full_mask & ~bit(i) & ~bit(j)
-            for k in submasks(rest):
-                verdict = ci_independent(g, GraphKind.COVARIANCE, bit(i), bit(j), k)
-                expected.append((i, j, k, verdict))
+    expected = pair_verdicts(g)
     mismatches = []
     for t in range(trials):
         model = sample_markov_gaussian(g, trial_seed(seed, t))

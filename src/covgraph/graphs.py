@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 MAX_NODES = 64
@@ -49,6 +50,17 @@ def submasks(mask: NodeSet) -> Iterator[NodeSet]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def disjoint_splits(n: int, parts: int) -> Iterator[tuple[NodeSet, ...]]:
+    """Every assignment of nodes 0..n-1 to `parts` numbered parts, as the
+    tuple of part masks, in `itertools.product(range(parts), repeat=n)`
+    order (node n-1 varies fastest)."""
+    for assignment in product(range(parts), repeat=n):
+        masks = [0] * parts
+        for v, a in enumerate(assignment):
+            masks[a] |= 1 << v
+        yield tuple(masks)
 
 
 def format_nodeset(mask: NodeSet, labels: Sequence[str]) -> str:
@@ -224,7 +236,9 @@ def parse_graph(text: str) -> MixedGraph:
 
     One statement per line: `node <label>` pre-declares a node,
     `<a> -- <b>` adds an undirected edge, `<a> -> <b>` adds an arrow.
-    `#` starts a comment.  Node order is first appearance.
+    `#` starts a comment.  Node order is first appearance.  A label may
+    not contain a comma (it could not be named in a comma-joined set) and
+    may not be `-` (the rendering of the empty set).
     """
     labels: list[str] = []
     index: dict[str, int] = {}
@@ -234,6 +248,8 @@ def parse_graph(text: str) -> MixedGraph:
 
     def declare(lab: str, line_no: int) -> int:
         if lab not in index:
+            if "," in lab or lab == "-":
+                raise GraphParseError(f"invalid node label {lab!r}", line_no)
             if len(labels) >= MAX_NODES:
                 raise GraphParseError(
                     f"more than {MAX_NODES} nodes (at {lab!r})", line_no
@@ -301,16 +317,8 @@ def ancestors(g: MixedGraph, targets: NodeSet) -> NodeSet:
     directed steps, plus `targets` itself."""
     if targets & ~g.full_mask:
         raise ValueError("target set contains nodes outside the graph")
-    reached = targets
-    frontier = targets
-    while frontier:
-        nxt = 0
-        for v in iter_nodes(frontier):
-            nxt |= g.und_adj[v] | g.pa_adj[v]
-        nxt &= ~reached
-        reached |= nxt
-        frontier = nxt
-    return reached
+    back = [u | p for u, p in zip(g.und_adj, g.pa_adj)]
+    return reachable(back, targets, g.full_mask)
 
 
 def connectivity_components(g: MixedGraph) -> list[NodeSet]:
@@ -324,24 +332,6 @@ def connectivity_components(g: MixedGraph) -> list[NodeSet]:
         comps.append(comp)
         remaining &= ~comp
     return comps
-
-
-def moral_graph(g: MixedGraph) -> MixedGraph:
-    """UG joining nodes that are adjacent in g or share a child
-    connectivity component (all edge directions dropped)."""
-    adj = [g.any_adj[v] for v in range(g.n)]
-    for comp in connectivity_components(g):
-        pa = 0
-        for v in iter_nodes(comp):
-            pa |= g.pa_adj[v]
-        for p in iter_nodes(pa):
-            adj[p] |= pa
-    und = set()
-    for v in range(g.n):
-        for w in iter_nodes(adj[v] & ~bit(v)):
-            if v < w:
-                und.add((v, w))
-    return MixedGraph(g.n, g.labels, frozenset(und), frozenset())
 
 
 def is_chain_graph(g: MixedGraph) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .graphs import (
     GraphKind,
@@ -24,6 +23,7 @@ from .graphs import (
     SizeLimitError,
     ancestors,
     bit,
+    disjoint_splits,
     format_nodeset,
     iter_nodes,
     reachable,
@@ -88,16 +88,7 @@ def _moral_adj_within(g: MixedGraph, inside: NodeSet) -> list[NodeSet]:
     adj = [g.any_adj[v] & inside for v in range(g.n)]
     remaining = inside
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for v in iter_nodes(frontier):
-                nxt |= g.und_adj[v] & inside
-            nxt &= ~comp
-            comp |= nxt
-            frontier = nxt
+        comp = reachable(g.und_adj, remaining & -remaining, inside)
         remaining &= ~comp
         pa = 0
         for v in iter_nodes(comp):
@@ -118,13 +109,6 @@ def sep(g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet) -> bool:
     return not (reachable(adj, x, anc & ~z) & y)
 
 
-def cov_independent_by_separation(g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet) -> bool:
-    """Covariance reading routed through generic separation, conditioning
-    on the complement of X|Y|Z.  Kept as a cross-check for the direct
-    implementation in `ci_independent`."""
-    return sep(g, x, y, g.full_mask & ~(x | y | z))
-
-
 def ci_independent(g: MixedGraph, kind: GraphKind, x: NodeSet, y: NodeSet, z: NodeSet) -> bool:
     """Graphical independence verdict under the given reading of g."""
     check_triple(g, x, y, z)
@@ -141,18 +125,11 @@ def ci_independent(g: MixedGraph, kind: GraphKind, x: NodeSet, y: NodeSet, z: No
 def canonical_triples(n: int) -> tuple[CITriple, ...]:
     """All canonical CITriples over n nodes, sorted by total size then
     bit patterns."""
-    out = []
-    for assignment in product(range(4), repeat=n):
-        x = y = z = 0
-        for v, a in enumerate(assignment):
-            if a == 0:
-                x |= 1 << v
-            elif a == 1:
-                y |= 1 << v
-            elif a == 2:
-                z |= 1 << v
-        if x and y and x <= y:
-            out.append(CITriple(x, y, z))
+    out = [
+        CITriple(x, y, z)
+        for x, y, z, _rest in disjoint_splits(n, 4)
+        if x and y and x <= y
+    ]
     out.sort(key=CITriple.sort_key)
     return tuple(out)
 

@@ -16,17 +16,11 @@ from .gaussian import (
     ci_test,
     concentration_graph_of,
     covariance_graph_of,
+    pair_verdicts,
     sample_markov_gaussian,
     trial_seed,
 )
-from .graphs import (
-    GraphKind,
-    MixedGraph,
-    bit,
-    connectivity_components,
-    submasks,
-)
-from .separation import ci_independent
+from .graphs import GraphKind, MixedGraph, connectivity_components
 from .smallgraphs import all_forests, all_ugs, connected_ugs, random_ug
 from .transforms import verify_forest_faithfulness, verify_latent_equivalence
 
@@ -41,6 +35,11 @@ def _describe(g: MixedGraph) -> str:
 def _record(failures: list[str], message: str) -> None:
     if len(failures) < MAX_FAILURES_KEPT:
         failures.append(message)
+
+
+def _require_n_max(n_max: int) -> None:
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
 
 
 def _closure_matches(g: MixedGraph, failures: list[str]) -> bool:
@@ -59,6 +58,9 @@ def theorems_sweep(n_max: int = 5, random_graphs: int = 200, seed: int = 0) -> d
     exhaustive up to 4 nodes, seeded random sample at 5 and 6."""
     if n_max > 6:
         raise ValueError("theorems sweep limited to 6 nodes")
+    _require_n_max(n_max)
+    if random_graphs < 0:
+        raise ValueError("random graph count must not be negative")
     failures: list[str] = []
     exhaustive = 0
     for n in range(1, min(n_max, 4) + 1):
@@ -82,50 +84,40 @@ def theorems_sweep(n_max: int = 5, random_graphs: int = 200, seed: int = 0) -> d
     }
 
 
-def latent_sweep(n_max: int = 5) -> dict:
-    """Covariance criterion versus d-separation in the latent-collider DAG,
-    exhaustive over labeled UGs."""
+def _per_graph_sweep(scope: str, n_max: int, family, check) -> dict:
+    """Run `check` (a per-graph Report builder) on every graph of
+    `family(n)` for n = 1..n_max and gather the violations."""
+    _require_n_max(n_max)
     failures: list[str] = []
     graphs = 0
     triples = 0
     for n in range(1, n_max + 1):
-        for g in all_ugs(n):
+        for g in family(n):
             graphs += 1
-            report = verify_latent_equivalence(g, max_nodes=n_max)
+            report = check(g, max_nodes=n_max)
             triples += report.checked
             for v in report.violations:
                 _record(failures, f"{_describe(g)} {v}")
     return {
-        "scope": "latent",
+        "scope": scope,
         "n_max": n_max,
         "graphs": graphs,
         "triples_checked": triples,
         "failures": failures,
         "passed": not failures,
     }
+
+
+def latent_sweep(n_max: int = 5) -> dict:
+    """Covariance criterion versus d-separation in the latent-collider DAG,
+    exhaustive over labeled UGs."""
+    return _per_graph_sweep("latent", n_max, all_ugs, verify_latent_equivalence)
 
 
 def forest_sweep(n_max: int = 6) -> dict:
     """Dependence criterion equals negated independence criterion on every
     labeled forest."""
-    failures: list[str] = []
-    graphs = 0
-    triples = 0
-    for n in range(1, n_max + 1):
-        for g in all_forests(n):
-            graphs += 1
-            report = verify_forest_faithfulness(g, max_nodes=n_max)
-            triples += report.checked
-            for v in report.violations:
-                _record(failures, f"{_describe(g)} {v}")
-    return {
-        "scope": "forest",
-        "n_max": n_max,
-        "graphs": graphs,
-        "triples_checked": triples,
-        "failures": failures,
-        "passed": not failures,
-    }
+    return _per_graph_sweep("forest", n_max, all_forests, verify_forest_faithfulness)
 
 
 def _edges_within(g: MixedGraph, mask: int) -> int:
@@ -165,6 +157,9 @@ def corollaries_sweep(
     """
     if n_max > 6:
         raise ValueError("corollaries sweep limited to 6 nodes")
+    _require_n_max(n_max)
+    if trials < 1:
+        raise ValueError("at least one trial required")
     failures: list[str] = []
     graphs = 0
     total_trials = 0
@@ -179,15 +174,7 @@ def corollaries_sweep(
             graphs += 1
             base = seed + 7919 * graph_index
             graph_index += 1
-            expected = []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    rest = g.full_mask & ~bit(i) & ~bit(j)
-                    for k in submasks(rest):
-                        expected.append(
-                            (i, j, k,
-                             ci_independent(g, GraphKind.COVARIANCE, bit(i), bit(j), k))
-                        )
+            expected = pair_verdicts(g)
             faithful = 0
             for t in range(trials):
                 total_trials += 1

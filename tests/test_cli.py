@@ -96,6 +96,15 @@ class TestQueryCommands:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("text", ["A -- B\nB -- a,c\n", "A -- B\n- -- B\n"])
+    def test_bad_label_names_line(self, capsys, tmp_path, text):
+        p = tmp_path / "bad.g"
+        p.write_text(text)
+        code, out, err = run_cli(capsys, ["closure", "-g", str(p)])
+        assert code == 2
+        assert out == ""
+        assert "line 2: invalid node label" in err
+
     def test_json_payload(self, capsys, cycle4_file):
         code, out, _ = run_cli(capsys, ["dep", "-g", cycle4_file, "--json",
                                         "-X", "A", "-Y", "C", "-Z", "B"])
@@ -187,6 +196,33 @@ class TestVerifyCommands:
                                         "--graphs", "3"])
         assert code == 2
         assert "--scope all" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--scope", "corollaries", "--n-max", "2", "--trials", "0"], "trial"),
+        (["--scope", "corollaries", "--n-max", "2", "--trials", "-3"], "trial"),
+        (["--scope", "corollaries", "--n-max", "0"], "n_max"),
+        (["--scope", "theorems", "--n-max", "0"], "n_max"),
+        (["--scope", "theorems", "--n-max", "2", "--trials", "-1"], "random graph"),
+        (["--scope", "latent", "--n-max", "0"], "n_max"),
+        (["--scope", "forest", "--n-max", "-1"], "n_max"),
+        (["--scope", "all", "--n-max", "0"], "n_max"),
+        (["--scope", "all", "--graphs", "-1"], "random graph"),
+    ])
+    def test_bad_counts_are_errors(self, capsys, argv, message):
+        # 0 and negative counts are refused, not replaced by the defaults
+        # or run as an empty sweep
+        code, out, err = run_cli(capsys, ["verify", *argv])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_zero_random_graphs_is_honored(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--scope", "theorems",
+                                        "--trials", "0", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n_max"] == 5
+        assert payload["random_graphs"] == 0
 
     def test_json_roundtrip_identity(self, capsys):
         _, out, _ = run_cli(capsys, ["verify", "--scope", "theorems",

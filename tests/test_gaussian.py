@@ -11,11 +11,11 @@ from covgraph import (
     GaussianModel,
     GraphKind,
     MixedGraph,
-    NdParameterization,
     SizeLimitError,
     bit,
     canonical_triples,
     cholesky,
+    ci_independent,
     ci_test,
     concentration_graph_of,
     cov_dependent,
@@ -29,6 +29,7 @@ from covgraph import (
     submasks,
     trial_seed,
 )
+from covgraph.gaussian import pair_verdicts
 from covgraph.smallgraphs import random_ug
 from oracles import det_cofactor, inverse_adjugate
 
@@ -140,12 +141,6 @@ class TestNdParameters:
         assert nd_dimension(cycle4()) == 2 * 4 + 4
         assert nd_dimension(MixedGraph.ug("ABC")) == 6
 
-    def test_parameterization_validates(self):
-        p = NdParameterization.of_graph(cycle4())
-        assert p.nd_count == 12
-        with pytest.raises(ValueError):
-            NdParameterization(cycle4(), 11)
-
 
 class TestCiTest:
     def test_marginal_dependence_two_by_two(self):
@@ -220,6 +215,26 @@ class TestGraphRecovery:
                 for j in range(i + 1, 4):
                     has_edge = (i, j) in conc.undirected
                     assert has_edge == (abs(inv[i][j]) > 1e-9), (g.undirected, i, j)
+
+
+class TestPairVerdicts:
+    def test_cycle_table(self):
+        table = pair_verdicts(cycle4())
+        # C(4, 2) pairs, each with every K among the other two nodes
+        assert len(table) == 6 * 4
+        assert (0, 2, 0, True) in table
+        assert (0, 2, bit(1), False) in table
+        assert [(i, j) for i, j, _, _ in table[:4]] == [(0, 1)] * 4
+
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_criterion(self, n, seed):
+        g = random_ug(n, random.Random(seed))
+        table = pair_verdicts(g)
+        assert len(table) == n * (n - 1) // 2 * 2 ** max(n - 2, 0)
+        for i, j, k, verdict in table:
+            assert i < j and not k & (bit(i) | bit(j))
+            assert verdict == ci_independent(g, COV, bit(i), bit(j), k)
 
 
 class TestFaithfulness:

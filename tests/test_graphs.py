@@ -1,5 +1,7 @@
-"""Graph machinery: parsing, subgraphs, ancestors, components, moral
-graphs, chain-graph validity."""
+"""Graph machinery: parsing, subgraphs, ancestors, components, disjoint
+splits, moralization, chain-graph validity."""
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +18,17 @@ from covgraph import (
     is_chain_graph,
     iter_nodes,
     mask_of,
-    moral_graph,
     parse_graph,
     submasks,
 )
-from oracles import dag_is_acyclic_dfs, has_semi_directed_cycle, naive_ancestors
+from covgraph.graphs import disjoint_splits
+from covgraph.separation import _moral_adj_within
+from oracles import (
+    dag_is_acyclic_dfs,
+    has_semi_directed_cycle,
+    naive_ancestors,
+    naive_moral_adjacency,
+)
 from strategies import dags, mixed_graphs, ugs
 
 
@@ -39,6 +47,15 @@ class TestMaskHelpers:
     def test_submasks_cover_powerset(self):
         subs = list(submasks(0b1010))
         assert sorted(subs) == [0b0000, 0b0010, 0b1000, 0b1010]
+
+    def test_disjoint_splits_follow_product_order(self):
+        for n, parts in ((0, 3), (1, 2), (3, 4), (4, 5)):
+            expect = [
+                tuple(mask_of(v for v, a in enumerate(assignment) if a == p)
+                      for p in range(parts))
+                for assignment in product(range(parts), repeat=n)
+            ]
+            assert list(disjoint_splits(n, parts)) == expect
 
 
 class TestParse:
@@ -74,6 +91,21 @@ class TestParse:
         g = parse_graph("# header\nnode C\n\nA -- B  # tail comment\n")
         assert g.labels == ("C", "A", "B")
         assert g.undirected == frozenset({(1, 2)})
+
+    @pytest.mark.parametrize("text, line", [
+        ("A -- B\nnode a,b\n", 2),
+        ("A -- b,c", 1),
+        ("A -- B\n# fine\n- -> A", 3),
+        ("node -", 1),
+    ])
+    def test_label_grammar(self, text, line):
+        # a comma cannot be named in a comma-joined -X/-Y/-Z set, and "-"
+        # renders like the empty set
+        with pytest.raises(GraphParseError, match=f"line {line}: invalid node label"):
+            parse_graph(text)
+
+    def test_labels_with_dashes_accepted(self):
+        assert parse_graph("a-b -- c_d\n--x -> y").labels == ("a-b", "c_d", "--x", "y")
 
     def test_node_capacity(self):
         text = "\n".join(f"node N{i}" for i in range(65))
@@ -169,26 +201,38 @@ class TestComponents:
         assert union == g.full_mask
 
 
+def moral_edges(g):
+    """Edges of the moral graph of the whole of g, as (i, j) with i < j."""
+    adj = _moral_adj_within(g, g.full_mask)
+    return frozenset((v, w) for v in range(g.n) for w in iter_nodes(adj[v]) if v < w)
+
+
 class TestMoralGraph:
     def test_collider_marries_parents(self):
         g = MixedGraph.dag("ABC", [("A", "B"), ("C", "B")])
-        m = moral_graph(g)
-        assert m.undirected == frozenset({(0, 1), (1, 2), (0, 2)})
+        assert moral_edges(g) == frozenset({(0, 1), (1, 2), (0, 2)})
 
     def test_chain_adds_nothing(self):
         g = MixedGraph.dag("ABC", [("A", "B"), ("B", "C")])
-        assert moral_graph(g).undirected == frozenset({(0, 1), (1, 2)})
+        assert moral_edges(g) == frozenset({(0, 1), (1, 2)})
 
     @given(ugs())
     def test_identity_on_ugs(self, g):
-        assert moral_graph(g) == g
+        assert _moral_adj_within(g, g.full_mask) == list(g.und_adj)
 
     def test_component_parents_married(self):
         # both arrows point into the same undirected component
         g = MixedGraph(4, ("A", "B", "C", "D"),
                        frozenset({(2, 3)}), frozenset({(0, 2), (1, 3)}))
-        m = moral_graph(g)
-        assert (0, 1) in m.undirected
+        assert (0, 1) in moral_edges(g)
+
+    @given(mixed_graphs(), st.data())
+    @settings(max_examples=200)
+    def test_matches_naive_moralization(self, g, data):
+        inside = data.draw(st.integers(0, g.full_mask))
+        adj = _moral_adj_within(g, inside)
+        expect = naive_moral_adjacency(g, set(iter_nodes(inside)))
+        assert {v: set(iter_nodes(adj[v])) for v in iter_nodes(inside)} == expect
 
 
 class TestChainGraph:

@@ -4,7 +4,7 @@ reading, checked against explicit path-enumeration oracles."""
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covgraph import (
@@ -16,12 +16,15 @@ from covgraph import (
     bit,
     canonical_triples,
     ci_independent,
-    cov_independent_by_separation,
     iter_nodes,
     sep,
 )
 from covgraph.smallgraphs import all_ugs
-from oracles import cov_independent_bruteforce, sep_bruteforce
+from oracles import (
+    cov_independent_bruteforce,
+    cov_independent_by_separation,
+    sep_bruteforce,
+)
 from strategies import chain_graphs, ugs
 
 COV = GraphKind.COVARIANCE
@@ -32,22 +35,23 @@ def cycle4():
     return MixedGraph.ug("ABCD", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
 
 
-def draw_triple(data, g, allow_empty_z=True):
-    """Random valid (x, y, z) over g's nodes."""
-    assume(g.n >= 2)
+def draw_triple(data, g):
+    """Random valid (x, y, z) over g's nodes (g has at least two): one X
+    node and a distinct Y node first, then each other node goes to X, Y, Z
+    or none of them.  Every draw is valid and every valid triple can come
+    out."""
+    a = data.draw(st.integers(0, g.n - 1))
+    b = data.draw(st.integers(0, g.n - 2))
+    if b >= a:
+        b += 1
+    parts = [bit(a), bit(b), 0, 0]
+    others = [v for v in range(g.n) if v not in (a, b)]
     assignment = data.draw(
-        st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n)
+        st.lists(st.integers(0, 3), min_size=len(others), max_size=len(others))
     )
-    x = y = z = 0
-    for v, a in enumerate(assignment):
-        if a == 0:
-            x |= 1 << v
-        elif a == 1:
-            y |= 1 << v
-        elif a == 2:
-            z |= 1 << v
-    assume(x and y)
-    return x, y, z
+    for v, part in zip(others, assignment):
+        parts[part] |= bit(v)
+    return parts[0], parts[1], parts[2]
 
 
 class TestCITriple:
