@@ -32,10 +32,8 @@ from .separation import (
 from .connection import (
     PathWitness,
     all_dependencies,
-    con,
     conc_dependence_witness,
     conc_dependent,
-    connection_witness,
     cov_dependence_witness,
     cov_dependent,
 )
@@ -43,12 +41,9 @@ from .closure import (
     ClosureState,
     Derivation,
     NotEstablishedError,
-    dependence_base,
     explain,
     replay_provenance,
     saturate,
-    verify_completeness,
-    verify_soundness,
 )
 from .gaussian import (
     DEFAULT_TOL,

@@ -22,7 +22,7 @@ from .gaussian import (
 )
 from .graphs import GraphKind, MixedGraph, format_graph, node_list, parse_graph
 from .separation import CITriple, ci_independent
-from .connection import conc_dependence_witness, cov_dependence_witness
+from .connection import DEPENDENCE_WITNESSES
 from .transforms import latent_dag
 from .verify import (
     corollaries_sweep,
@@ -86,14 +86,8 @@ def _cmd_indep(args) -> int:
 def _cmd_dep(args) -> int:
     g = _load_graph(args.graph)
     kind = GraphKind(args.kind)
-    if kind is GraphKind.COVARIANCE:
-        x, y, z = _resolve(g, args)
-        witness = cov_dependence_witness(g, x, y, z)
-    elif kind is GraphKind.CONCENTRATION:
-        x, y, z = _resolve(g, args)
-        witness = conc_dependence_witness(g, x, y, z)
-    else:
-        raise ValueError("dep supports the covariance and concentration readings")
+    x, y, z = _resolve(g, args)
+    witness = DEPENDENCE_WITNESSES[kind](g, x, y, z)
     payload = {
         "command": "dep",
         "kind": kind.value,
@@ -252,9 +246,10 @@ def _add_common(sub, graph=True, sets=False):
     if graph:
         sub.add_argument("-g", "--graph", required=True, help="graph file path")
     if sets:
-        sub.add_argument("-X", default="", help="comma-separated labels")
-        sub.add_argument("-Y", default="", help="comma-separated labels")
-        sub.add_argument("-Z", default="", help="comma-separated labels")
+        for flag in ("-X", "-Y", "-Z"):
+            sub.add_argument(flag, default="",
+                             help=f"comma-separated labels; write {flag}=LABELS "
+                                  "when the first label starts with '-'")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 

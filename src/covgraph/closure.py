@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .connection import all_dependencies
 from .graphs import GraphKind, MixedGraph, SizeLimitError, bit, disjoint_splits, iter_nodes
 from .report import Report
 from .separation import CITriple, ci_independent
@@ -68,13 +67,6 @@ class ClosureState:
         return sorted(self.established, key=CITriple.sort_key)
 
 
-def dependence_base(g: MixedGraph) -> set[CITriple]:
-    """One marginal dependence statement per edge."""
-    if not g.is_undirected_graph:
-        raise ValueError("the dependence base is defined for undirected graphs")
-    return {CITriple(bit(i), bit(j)) for i, j in g.undirected}
-
-
 def _canon(x: int, y: int, z: int) -> tuple[int, int, int]:
     return (x, y, z) if x <= y else (y, x, z)
 
@@ -100,11 +92,7 @@ def _node_splits(n: int) -> tuple[tuple[int, int, int, int], ...]:
     )
 
 
-def saturate(
-    g: MixedGraph,
-    max_nodes: int = MAX_CLOSURE_NODES,
-    _reverse_sweep: bool = False,
-) -> ClosureState:
+def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
     """Least fixpoint of the nine rules over the dependence base.
 
     `_reverse_sweep` flips the split and rule application order; the
@@ -112,8 +100,8 @@ def saturate(
     """
     if not g.is_undirected_graph:
         raise ValueError("closure is defined for covariance (undirected) graphs")
-    if g.n > max_nodes:
-        raise SizeLimitError(f"closure limited to {max_nodes} nodes")
+    if g.n > MAX_CLOSURE_NODES:
+        raise SizeLimitError(f"closure limited to {MAX_CLOSURE_NODES} nodes")
 
     indep_cache: dict[tuple[int, int, int], bool] = {}
 
@@ -190,33 +178,6 @@ def saturate(
         for key, (rule, deps, indeps) in prov.items()
     }
     return ClosureState(g, statements, provenance, sweeps)
-
-
-def verify_soundness(g: MixedGraph, state: ClosureState | None = None) -> Report:
-    """Every dependence the single-path criterion certifies must be
-    derivable by the rule engine."""
-    if state is None:
-        state = saturate(g)
-    report = Report(f"soundness[{g.n} nodes, {len(g.undirected)} edges]")
-    for t in all_dependencies(g, GraphKind.COVARIANCE):
-        report.checked += 1
-        if t not in state.established:
-            report.add_violation(f"{t.render(g.labels)} certified but not derived")
-    return report
-
-
-def verify_completeness(g: MixedGraph, state: ClosureState | None = None) -> Report:
-    """Every derived dependence must be certified by the single-path
-    criterion."""
-    if state is None:
-        state = saturate(g)
-    certified = set(all_dependencies(g, GraphKind.COVARIANCE))
-    report = Report(f"completeness[{g.n} nodes, {len(g.undirected)} edges]")
-    for t in state.sorted_statements():
-        report.checked += 1
-        if t not in certified:
-            report.add_violation(f"{t.render(g.labels)} derived but not certified")
-    return report
 
 
 class NotEstablishedError(KeyError):

@@ -21,7 +21,7 @@ from .graphs import (
     iter_nodes,
     reachable,
 )
-from .separation import CITriple, canonical_triples, check_triple
+from .separation import MAX_SWEEP_NODES, CITriple, canonical_triples, check_triple
 
 
 @dataclass(frozen=True)
@@ -85,21 +85,6 @@ def _first_unique_path(
     return None
 
 
-def connection_witness(
-    g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet
-) -> Optional[PathWitness]:
-    """Witness for con(X, Y | Z): the unique simple path for the first
-    pair A in X, B in Y with exactly one path avoiding (X|Y|Z) \\ {A, B}."""
-    check_triple(g, x, y, z)
-    if not g.is_undirected_graph:
-        raise ValueError("connection is defined on undirected graphs")
-    return _first_unique_path(g, x, y, g.full_mask & ~(x | y | z))
-
-
-def con(g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet) -> bool:
-    return connection_witness(g, x, y, z) is not None
-
-
 def cov_dependence_witness(
     g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet
 ) -> Optional[PathWitness]:
@@ -118,29 +103,35 @@ def cov_dependent(g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet) -> bool:
 def conc_dependence_witness(
     g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet
 ) -> Optional[PathWitness]:
-    """Concentration-graph dependence: con(X, Y | Z) itself."""
+    """Concentration-graph dependence, con(X, Y | Z): the unique simple
+    path for the first pair A in X, B in Y with exactly one path avoiding
+    (X|Y|Z) \\ {A, B}."""
     if not g.is_undirected_graph:
         raise ValueError("concentration reading requires an undirected graph")
-    return connection_witness(g, x, y, z)
+    check_triple(g, x, y, z)
+    return _first_unique_path(g, x, y, g.full_mask & ~(x | y | z))
 
 
 def conc_dependent(g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet) -> bool:
     return conc_dependence_witness(g, x, y, z) is not None
 
 
-def all_dependencies(g: MixedGraph, kind: GraphKind, max_nodes: int = 8) -> list[CITriple]:
+DEPENDENCE_WITNESSES = {
+    GraphKind.COVARIANCE: cov_dependence_witness,
+    GraphKind.CONCENTRATION: conc_dependence_witness,
+}
+
+
+def all_dependencies(g: MixedGraph, kind: GraphKind) -> list[CITriple]:
     """Every canonical triple the kind's dependence criterion marks
     dependent, in deterministic order."""
-    if g.n > max_nodes:
-        raise SizeLimitError(f"dependence sweep limited to {max_nodes} nodes")
-    if kind is GraphKind.COVARIANCE:
-        criterion = cov_dependent
-    elif kind is GraphKind.CONCENTRATION:
-        criterion = conc_dependent
-    else:
+    if g.n > MAX_SWEEP_NODES:
+        raise SizeLimitError(f"dependence sweep limited to {MAX_SWEEP_NODES} nodes")
+    witness = DEPENDENCE_WITNESSES.get(kind)
+    if witness is None:
         raise ValueError("dependence criteria exist for covariance and "
                          "concentration readings only")
     return [
         t for t in canonical_triples(g.n)
-        if criterion(g, t.x, t.y, t.z)
+        if witness(g, t.x, t.y, t.z) is not None
     ]

@@ -28,6 +28,7 @@ from .graphs import (
 from .separation import ci_independent
 
 DEFAULT_TOL = 1e-9
+MAX_FAITHFULNESS_NODES = 6
 
 
 def det(rows: Sequence[Sequence[float]]) -> float:
@@ -165,43 +166,32 @@ def ci_test(
     return abs(d) <= tol * scale
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"V{i + 1}" for i in range(n))
+def _graph_of(
+    model: GaussianModel, tol: float, labels: Sequence[str], given: NodeSet
+) -> MixedGraph:
+    """UG joining exactly the pairs i, j dependent given `given` minus i, j."""
+    n = model.n
+    edges = frozenset(
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not ci_test(model, i, j, given & ~bit(i) & ~bit(j), tol)
+    )
+    return MixedGraph(n, tuple(labels), edges, frozenset())
 
 
 def covariance_graph_of(
-    model: GaussianModel,
-    tol: float = DEFAULT_TOL,
-    labels: Sequence[str] | None = None,
+    model: GaussianModel, tol: float, labels: Sequence[str]
 ) -> MixedGraph:
     """UG joining exactly the marginally dependent pairs."""
-    n = model.n
-    edges = frozenset(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if not ci_test(model, i, j, 0, tol)
-    )
-    lab = tuple(labels) if labels is not None else _default_labels(n)
-    return MixedGraph(n, lab, edges, frozenset())
+    return _graph_of(model, tol, labels, 0)
 
 
 def concentration_graph_of(
-    model: GaussianModel,
-    tol: float = DEFAULT_TOL,
-    labels: Sequence[str] | None = None,
+    model: GaussianModel, tol: float, labels: Sequence[str]
 ) -> MixedGraph:
     """UG joining exactly the pairs dependent given all remaining nodes."""
-    n = model.n
-    full = (1 << n) - 1
-    edges = frozenset(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if not ci_test(model, i, j, full & ~bit(i) & ~bit(j), tol)
-    )
-    lab = tuple(labels) if labels is not None else _default_labels(n)
-    return MixedGraph(n, lab, edges, frozenset())
+    return _graph_of(model, tol, labels, (1 << model.n) - 1)
 
 
 @dataclass
@@ -247,12 +237,12 @@ def faithfulness_report(
     trials: int,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    max_nodes: int = 6,
 ) -> FaithfulnessReport:
     """Sample `trials` models and compare the determinant test against the
     covariance-graph criterion over every (i, j, K)."""
-    if g.n > max_nodes:
-        raise SizeLimitError(f"faithfulness sweep limited to {max_nodes} nodes")
+    if g.n > MAX_FAITHFULNESS_NODES:
+        raise SizeLimitError(
+            f"faithfulness sweep limited to {MAX_FAITHFULNESS_NODES} nodes")
     if trials < 1:
         raise ValueError("at least one trial required")
     expected = pair_verdicts(g)

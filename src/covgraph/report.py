@@ -17,18 +17,3 @@ class Report:
 
     def add_violation(self, message: str) -> None:
         self.violations.append(message)
-
-    def summary(self) -> str:
-        if self.passed:
-            return f"{self.name}: PASS ({self.checked} checks)"
-        head = self.violations[0]
-        return (f"{self.name}: FAIL ({len(self.violations)} violations in "
-                f"{self.checked} checks; first: {head})")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "passed": self.passed,
-            "violations": list(self.violations),
-        }

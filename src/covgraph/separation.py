@@ -29,6 +29,8 @@ from .graphs import (
     reachable,
 )
 
+MAX_SWEEP_NODES = 8
+
 
 @dataclass(frozen=True)
 class CITriple:
@@ -134,11 +136,11 @@ def canonical_triples(n: int) -> tuple[CITriple, ...]:
     return tuple(out)
 
 
-def all_independencies(g: MixedGraph, kind: GraphKind, max_nodes: int = 8) -> list[CITriple]:
+def all_independencies(g: MixedGraph, kind: GraphKind) -> list[CITriple]:
     """Every canonical triple the criterion marks independent, in
     deterministic order."""
-    if g.n > max_nodes:
-        raise SizeLimitError(f"independence sweep limited to {max_nodes} nodes")
+    if g.n > MAX_SWEEP_NODES:
+        raise SizeLimitError(f"independence sweep limited to {MAX_SWEEP_NODES} nodes")
     return [
         t for t in canonical_triples(g.n)
         if ci_independent(g, kind, t.x, t.y, t.z)

@@ -23,6 +23,9 @@ from .graphs import (
 from .report import Report
 from .separation import canonical_triples, ci_independent, sep
 
+MAX_LATENT_NODES = 5
+MAX_FOREST_NODES = 6
+
 
 @dataclass(frozen=True)
 class LatentDag:
@@ -72,7 +75,7 @@ def latent_dag(g: MixedGraph) -> LatentDag:
     return LatentDag(dag, g.n, tuple(latents))
 
 
-def verify_latent_equivalence(g: MixedGraph, max_nodes: int = 5) -> Report:
+def verify_latent_equivalence(g: MixedGraph, max_nodes: int = MAX_LATENT_NODES) -> Report:
     """Check that d-separation in the latent DAG agrees with the
     covariance criterion on every canonical triple over original nodes."""
     if g.n > max_nodes:
@@ -97,7 +100,7 @@ def is_forest(g: MixedGraph) -> bool:
     return len(g.undirected) == g.n - len(connectivity_components(g))
 
 
-def verify_forest_faithfulness(g: MixedGraph, max_nodes: int = 6) -> Report:
+def verify_forest_faithfulness(g: MixedGraph, max_nodes: int = MAX_FOREST_NODES) -> Report:
     """On forests the dependence criterion must be the exact complement of
     the independence criterion."""
     if not is_forest(g):

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import random
 
-from .closure import saturate
+from .closure import MAX_CLOSURE_NODES, saturate
 from .connection import all_dependencies
 from .gaussian import (
     DEFAULT_TOL,
+    MAX_FAITHFULNESS_NODES,
     ci_test,
     concentration_graph_of,
     covariance_graph_of,
@@ -22,7 +23,12 @@ from .gaussian import (
 )
 from .graphs import GraphKind, MixedGraph, connectivity_components
 from .smallgraphs import all_forests, all_ugs, connected_ugs, random_ug
-from .transforms import verify_forest_faithfulness, verify_latent_equivalence
+from .transforms import (
+    MAX_FOREST_NODES,
+    MAX_LATENT_NODES,
+    verify_forest_faithfulness,
+    verify_latent_equivalence,
+)
 
 MAX_FAILURES_KEPT = 20
 
@@ -37,9 +43,11 @@ def _record(failures: list[str], message: str) -> None:
         failures.append(message)
 
 
-def _require_n_max(n_max: int) -> None:
+def _require_n_max(scope: str, n_max: int, limit: int) -> None:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if n_max > limit:
+        raise ValueError(f"{scope} sweep limited to {limit} nodes")
 
 
 def _closure_matches(g: MixedGraph, failures: list[str]) -> bool:
@@ -56,9 +64,7 @@ def _closure_matches(g: MixedGraph, failures: list[str]) -> bool:
 def theorems_sweep(n_max: int = 5, random_graphs: int = 200, seed: int = 0) -> dict:
     """Set equality of the rule closure and the single-path criterion:
     exhaustive up to 4 nodes, seeded random sample at 5 and 6."""
-    if n_max > 6:
-        raise ValueError("theorems sweep limited to 6 nodes")
-    _require_n_max(n_max)
+    _require_n_max("theorems", n_max, MAX_CLOSURE_NODES)
     if random_graphs < 0:
         raise ValueError("random graph count must not be negative")
     failures: list[str] = []
@@ -84,17 +90,17 @@ def theorems_sweep(n_max: int = 5, random_graphs: int = 200, seed: int = 0) -> d
     }
 
 
-def _per_graph_sweep(scope: str, n_max: int, family, check) -> dict:
+def _per_graph_sweep(scope: str, n_max: int, limit: int, family, check) -> dict:
     """Run `check` (a per-graph Report builder) on every graph of
     `family(n)` for n = 1..n_max and gather the violations."""
-    _require_n_max(n_max)
+    _require_n_max(scope, n_max, limit)
     failures: list[str] = []
     graphs = 0
     triples = 0
     for n in range(1, n_max + 1):
         for g in family(n):
             graphs += 1
-            report = check(g, max_nodes=n_max)
+            report = check(g)
             triples += report.checked
             for v in report.violations:
                 _record(failures, f"{_describe(g)} {v}")
@@ -111,13 +117,15 @@ def _per_graph_sweep(scope: str, n_max: int, family, check) -> dict:
 def latent_sweep(n_max: int = 5) -> dict:
     """Covariance criterion versus d-separation in the latent-collider DAG,
     exhaustive over labeled UGs."""
-    return _per_graph_sweep("latent", n_max, all_ugs, verify_latent_equivalence)
+    return _per_graph_sweep("latent", n_max, MAX_LATENT_NODES, all_ugs,
+                            verify_latent_equivalence)
 
 
 def forest_sweep(n_max: int = 6) -> dict:
     """Dependence criterion equals negated independence criterion on every
     labeled forest."""
-    return _per_graph_sweep("forest", n_max, all_forests, verify_forest_faithfulness)
+    return _per_graph_sweep("forest", n_max, MAX_FOREST_NODES, all_forests,
+                            verify_forest_faithfulness)
 
 
 def _edges_within(g: MixedGraph, mask: int) -> int:
@@ -155,9 +163,7 @@ def corollaries_sweep(
     event seen twice, so it is tallied separately and does not fail the
     sweep on its own.
     """
-    if n_max > 6:
-        raise ValueError("corollaries sweep limited to 6 nodes")
-    _require_n_max(n_max)
+    _require_n_max("corollaries", n_max, MAX_FAITHFULNESS_NODES)
     if trials < 1:
         raise ValueError("at least one trial required")
     failures: list[str] = []
@@ -231,9 +237,9 @@ def full_verification(
     tol: float = DEFAULT_TOL,
 ) -> dict:
     parts = [
-        theorems_sweep(min(n_max, 6), random_graphs, seed),
-        latent_sweep(min(n_max, 5)),
-        forest_sweep(min(n_max + 1, 6)),
+        theorems_sweep(min(n_max, MAX_CLOSURE_NODES), random_graphs, seed),
+        latent_sweep(min(n_max, MAX_LATENT_NODES)),
+        forest_sweep(min(n_max + 1, MAX_FOREST_NODES)),
         corollaries_sweep(min(n_max, 5), trials, seed, tol),
     ]
     return {

@@ -105,6 +105,14 @@ class TestQueryCommands:
         assert out == ""
         assert "line 2: invalid node label" in err
 
+    def test_dash_label_through_equals(self, capsys, tmp_path):
+        # `-X -a` would read `-a` as a flag; `-X=-a` passes it as a label
+        p = tmp_path / "dash.g"
+        p.write_text("-a -- b\n")
+        code, out, _ = run_cli(capsys, ["dep", "-g", str(p), "-X=-a", "-Y", "b"])
+        assert code == 0
+        assert out.strip() == "DEPENDENT, witness -a-b"
+
     def test_json_payload(self, capsys, cycle4_file):
         code, out, _ = run_cli(capsys, ["dep", "-g", cycle4_file, "--json",
                                         "-X", "A", "-Y", "C", "-Z", "B"])
@@ -207,10 +215,13 @@ class TestVerifyCommands:
         (["--scope", "forest", "--n-max", "-1"], "n_max"),
         (["--scope", "all", "--n-max", "0"], "n_max"),
         (["--scope", "all", "--graphs", "-1"], "random graph"),
+        (["--scope", "latent", "--n-max", "6"], "latent sweep limited"),
+        (["--scope", "forest", "--n-max", "8"], "forest sweep limited"),
     ])
     def test_bad_counts_are_errors(self, capsys, argv, message):
         # 0 and negative counts are refused, not replaced by the defaults
-        # or run as an empty sweep
+        # or run as an empty sweep; sizes past a sweep's limit are refused
+        # up front instead of running for hours
         code, out, err = run_cli(capsys, ["verify", *argv])
         assert code == 2
         assert out == ""

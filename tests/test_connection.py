@@ -16,10 +16,8 @@ from covgraph import (
     bit,
     canonical_triples,
     ci_independent,
-    con,
     conc_dependence_witness,
     conc_dependent,
-    connection_witness,
     cov_dependence_witness,
     cov_dependent,
     iter_nodes,
@@ -90,11 +88,11 @@ class TestCountPaths:
         # and only undirected graphs reach the path test
         g = cycle4()
         with pytest.raises(ValueError):
-            connection_witness(g, bit(0), bit(0), 0)
+            conc_dependence_witness(g, bit(0), bit(0), 0)
         with pytest.raises(ValueError):
             cov_dependence_witness(g, bit(0), bit(4), 0)
         with pytest.raises(ValueError):
-            connection_witness(MixedGraph.dag("AB", [("A", "B")]), bit(0), bit(1), 0)
+            conc_dependence_witness(MixedGraph.dag("AB", [("A", "B")]), bit(0), bit(1), 0)
 
     @given(ugs(min_n=2, max_n=5), st.data())
     @settings(max_examples=300, deadline=None)
@@ -153,20 +151,20 @@ class TestCon:
     def test_rejects_dag(self):
         g = MixedGraph.dag("ABC", [("A", "B"), ("B", "C")])
         with pytest.raises(ValueError):
-            con(g, bit(0), bit(2), 0)
+            conc_dependent(g, bit(0), bit(2), 0)
 
     def test_path_endpoints(self):
         g = MixedGraph.ug("ABC", [("A", "B"), ("B", "C")])
-        assert con(g, bit(0), bit(2), 0)
+        assert conc_dependent(g, bit(0), bit(2), 0)
 
     def test_triangle_edge_survives_conditioning(self):
         # only the direct edge avoids {B}, so exactly one path qualifies
-        w = connection_witness(triangle(), bit(0), bit(2), bit(1))
+        w = conc_dependence_witness(triangle(), bit(0), bit(2), bit(1))
         assert w is not None and w.nodes == (0, 2)
 
     def test_disconnected(self):
         g = MixedGraph.ug("AB")
-        assert not con(g, bit(0), bit(1), 0)
+        assert not conc_dependent(g, bit(0), bit(1), 0)
 
 
 class TestCovDependence:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covgraph import (
+    DEFAULT_TOL,
     GaussianModel,
     GraphKind,
     MixedGraph,
@@ -183,25 +184,25 @@ class TestGraphRecovery:
             for _ in range(5):
                 g = random_ug(n, rng)
                 m = sample_markov_gaussian(g, rng.getrandbits(32))
-                assert covariance_graph_of(m, labels=g.labels) == g
+                assert covariance_graph_of(m, DEFAULT_TOL, g.labels) == g
 
     def test_diagonal_recovers_edgeless(self):
         m = sample_markov_gaussian(MixedGraph.ug("ABC"), 1)
-        assert not covariance_graph_of(m).undirected
-        assert not concentration_graph_of(m).undirected
+        assert not covariance_graph_of(m, DEFAULT_TOL, "ABC").undirected
+        assert not concentration_graph_of(m, DEFAULT_TOL, "ABC").undirected
 
     def test_dense_recovers_complete(self):
         labels = "ABCD"
         comp = MixedGraph.ug(labels, [(a, b) for a in labels for b in labels if a < b])
         m = sample_markov_gaussian(comp, 13)
-        assert covariance_graph_of(m, labels=labels).undirected == comp.undirected
-        assert concentration_graph_of(m, labels=labels).undirected == comp.undirected
+        assert covariance_graph_of(m, DEFAULT_TOL, labels).undirected == comp.undirected
+        assert concentration_graph_of(m, DEFAULT_TOL, labels).undirected == comp.undirected
 
     def test_tree_concentration_is_complete(self):
         g = MixedGraph.ug("ABC", [("A", "B"), ("B", "C")])
         for seed in range(20):
             m = sample_markov_gaussian(g, seed)
-            conc = concentration_graph_of(m, labels=g.labels)
+            conc = concentration_graph_of(m, DEFAULT_TOL, g.labels)
             assert len(conc.undirected) == 3
 
     def test_concentration_matches_inverse_zero_pattern(self):
@@ -210,7 +211,7 @@ class TestGraphRecovery:
             g = random_ug(4, rng)
             m = sample_markov_gaussian(g, rng.getrandbits(32))
             inv = inverse_adjugate([list(r) for r in m.sigma])
-            conc = concentration_graph_of(m, labels=g.labels)
+            conc = concentration_graph_of(m, DEFAULT_TOL, g.labels)
             for i in range(4):
                 for j in range(i + 1, 4):
                     has_edge = (i, j) in conc.undirected
