@@ -14,11 +14,8 @@ from .graphs import (
     connectivity_components,
     format_graph,
     format_nodeset,
-    induced_subgraph,
     is_chain_graph,
     iter_nodes,
-    mask_of,
-    node_list,
     parse_graph,
     submasks,
 )
@@ -47,7 +44,6 @@ from .closure import (
 )
 from .gaussian import (
     DEFAULT_TOL,
-    FaithfulnessReport,
     GaussianModel,
     cholesky,
     ci_test,

@@ -20,7 +20,7 @@ from .gaussian import (
     nd_dimension,
     sample_markov_gaussian,
 )
-from .graphs import GraphKind, MixedGraph, format_graph, node_list, parse_graph
+from .graphs import GraphKind, MixedGraph, format_graph, iter_nodes, parse_graph
 from .separation import CITriple, ci_independent
 from .connection import DEPENDENCE_WITNESSES
 from .transforms import latent_dag
@@ -56,7 +56,7 @@ def _resolve(g: MixedGraph, args) -> tuple[int, int, int]:
 
 
 def _label_list(g: MixedGraph, mask: int) -> list[str]:
-    return [g.labels[i] for i in node_list(mask)]
+    return [g.labels[i] for i in iter_nodes(mask)]
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -152,31 +152,34 @@ def _cmd_explain(args) -> int:
     return EXIT_HOLDS
 
 
-def _given(value: int | None, default: int) -> int:
-    """A count flag's value, or its default when the flag was not given."""
-    return default if value is None else value
+# Per scope: the sweep, and each flag it reads with the parameter that
+# flag sets.  A flag left out is not passed, so the sweep's default applies.
+VERIFY_SCOPES = {
+    "theorems": (theorems_sweep,
+                 {"n_max": "n_max", "trials": "random_graphs", "seed": "seed"}),
+    "latent": (latent_sweep, {"n_max": "n_max"}),
+    "forest": (forest_sweep, {"n_max": "n_max"}),
+    "corollaries": (corollaries_sweep,
+                    {"n_max": "n_max", "trials": "trials", "seed": "seed", "tol": "tol"}),
+    "all": (full_verification,
+            {"n_max": "n_max", "graphs": "random_graphs", "trials": "trials",
+             "seed": "seed", "tol": "tol"}),
+}
 
 
 def _cmd_verify(args) -> int:
-    scope = args.scope
-    if args.graphs is not None and scope != "all":
-        raise ValueError("--graphs applies to --scope all; "
-                         "--trials sets the count of a single scope")
-    if scope == "theorems":
-        result = theorems_sweep(_given(args.n_max, 5), _given(args.trials, 200), args.seed)
-    elif scope == "latent":
-        result = latent_sweep(_given(args.n_max, 5))
-    elif scope == "forest":
-        result = forest_sweep(_given(args.n_max, 6))
-    elif scope == "corollaries":
-        result = corollaries_sweep(
-            _given(args.n_max, 5), _given(args.trials, 100), args.seed, args.tol
-        )
-    else:
-        result = full_verification(
-            _given(args.n_max, 5), _given(args.graphs, 200),
-            _given(args.trials, 100), args.seed, args.tol,
-        )
+    sweep, reads = VERIFY_SCOPES[args.scope]
+    params = {}
+    for flag in ("n_max", "seed", "trials", "graphs", "tol"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag not in reads:
+            readers = [s for s, (_, r) in VERIFY_SCOPES.items() if flag in r]
+            raise ValueError(f"--{flag.replace('_', '-')} applies to --scope "
+                             f"{', '.join(readers)}")
+        params[reads[flag]] = value
+    result = sweep(**params)
     parts = result.get("parts", [result])
     lines = []
     for part in parts:
@@ -281,17 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_explain)
 
     p = subs.add_parser("verify", help="run verification sweeps")
-    p.add_argument("--scope", default="all",
-                   choices=["theorems", "latent", "forest", "corollaries", "all"])
+    p.add_argument("--scope", default="all", choices=list(VERIFY_SCOPES))
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None,
                    help="random graphs (theorems) or Gaussian trials "
                         "(corollaries, all)")
     p.add_argument("--graphs", type=int, default=None,
                    help="random graphs of the theorems sweep under "
                         "--scope all (default 200)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

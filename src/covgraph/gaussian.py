@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 from typing import Optional, Sequence
 
 from .graphs import (
@@ -22,7 +22,7 @@ from .graphs import (
     NodeSet,
     SizeLimitError,
     bit,
-    node_list,
+    iter_nodes,
     submasks,
 )
 from .separation import ci_independent
@@ -138,6 +138,12 @@ def sample_markov_gaussian(g: MixedGraph, seed: int) -> GaussianModel:
     return GaussianModel(mean, tuple(tuple(row) for row in sig))
 
 
+def require_tolerance(tol: float) -> None:
+    """Refuse a tolerance outside 0 < tol < inf, NaN included."""
+    if not 0 < tol < inf:
+        raise ValueError("tolerance must be positive and finite")
+
+
 def ci_test(
     model: GaussianModel, i: int, j: int, k: NodeSet, tol: float = DEFAULT_TOL
 ) -> bool:
@@ -148,14 +154,13 @@ def ci_test(
     certified at model construction, which makes det(sigma[ijK, ijK])
     positive for every query, so the determinant criterion is well posed.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    require_tolerance(tol)
     n = model.n
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ValueError("i and j must be distinct nodes of the model")
     if k & (bit(i) | bit(j)) or k >> n:
         raise ValueError("K must avoid i, j and stay inside the model")
-    ks = node_list(k)
+    ks = list(iter_nodes(k))
     rows_idx = [i, *ks]
     cols_idx = [j, *ks]
     sub = [[model.sigma[r][c] for c in cols_idx] for r in rows_idx]
@@ -170,6 +175,7 @@ def _graph_of(
     model: GaussianModel, tol: float, labels: Sequence[str], given: NodeSet
 ) -> MixedGraph:
     """UG joining exactly the pairs i, j dependent given `given` minus i, j."""
+    require_tolerance(tol)
     n = model.n
     edges = frozenset(
         (i, j)
@@ -245,6 +251,7 @@ def faithfulness_report(
             f"faithfulness sweep limited to {MAX_FAITHFULNESS_NODES} nodes")
     if trials < 1:
         raise ValueError("at least one trial required")
+    require_tolerance(tol)
     expected = pair_verdicts(g)
     mismatches = []
     for t in range(trials):

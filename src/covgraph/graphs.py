@@ -8,7 +8,7 @@ all operations here are pure functions returning fresh objects.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
@@ -23,23 +23,12 @@ def bit(i: int) -> NodeSet:
     return 1 << i
 
 
-def mask_of(nodes: Iterable[int]) -> NodeSet:
-    m = 0
-    for i in nodes:
-        m |= 1 << i
-    return m
-
-
 def iter_nodes(mask: NodeSet) -> Iterator[int]:
     """Yield node indices of a mask in increasing order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def node_list(mask: NodeSet) -> list[int]:
-    return list(iter_nodes(mask))
 
 
 def submasks(mask: NodeSet) -> Iterator[NodeSet]:
@@ -117,13 +106,19 @@ class MixedGraph:
     (tail, head) arrows.  A pair may not carry both an undirected edge
     and an arrow, and self-loops are rejected; opposite arrows are
     representable (chain-graph validity rejects them separately).
-    Node identity is the index; labels are display-only.
+    Node identity is the index; labels are display-only.  The adjacency
+    masks are built once, by the validating constructor: `und_adj[v]`
+    holds v's undirected neighbours, `pa_adj[v]` the tails of arrows into
+    v, and `any_adj[v]` every node joined to v by any edge.
     """
 
     n: int
     labels: tuple[str, ...]
     undirected: frozenset[tuple[int, int]] = frozenset()
     directed: frozenset[tuple[int, int]] = frozenset()
+    und_adj: tuple[NodeSet, ...] = field(init=False, repr=False, compare=False)
+    pa_adj: tuple[NodeSet, ...] = field(init=False, repr=False, compare=False)
+    any_adj: tuple[NodeSet, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_NODES:
@@ -132,19 +127,30 @@ class MixedGraph:
             raise ValueError("label count does not match node count")
         if len(set(self.labels)) != self.n:
             raise ValueError("node labels must be unique")
-        und_pairs: set[frozenset[int]] = set()
+        und = [0] * self.n
         for i, j in self.undirected:
+            # the endpoint check comes first: a negative index would
+            # wrap around the mask list instead of raising
             self._check_endpoints(i, j)
             if not i < j:
                 raise ValueError(f"undirected pair ({i}, {j}) not normalized")
-            und_pairs.add(frozenset((i, j)))
+            und[i] |= 1 << j
+            und[j] |= 1 << i
+        pa = [0] * self.n
+        any_ = list(und)
         for i, j in self.directed:
             self._check_endpoints(i, j)
-            if frozenset((i, j)) in und_pairs:
+            if (und[i] >> j) & 1:
                 raise ValueError(
                     f"both an undirected edge and an arrow between "
                     f"{self.labels[i]} and {self.labels[j]}"
                 )
+            pa[j] |= 1 << i
+            any_[i] |= 1 << j
+            any_[j] |= 1 << i
+        object.__setattr__(self, "und_adj", tuple(und))
+        object.__setattr__(self, "pa_adj", tuple(pa))
+        object.__setattr__(self, "any_adj", tuple(any_))
 
     def _check_endpoints(self, i: int, j: int) -> None:
         if not (0 <= i < self.n and 0 <= j < self.n):
@@ -177,36 +183,6 @@ class MixedGraph:
     @cached_property
     def label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
-
-    @cached_property
-    def und_adj(self) -> tuple[NodeSet, ...]:
-        adj = [0] * self.n
-        for i, j in self.undirected:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return tuple(adj)
-
-    @cached_property
-    def pa_adj(self) -> tuple[NodeSet, ...]:
-        """pa_adj[v] = mask of nodes u with an arrow u -> v."""
-        adj = [0] * self.n
-        for u, v in self.directed:
-            adj[v] |= 1 << u
-        return tuple(adj)
-
-    @cached_property
-    def ch_adj(self) -> tuple[NodeSet, ...]:
-        adj = [0] * self.n
-        for u, v in self.directed:
-            adj[u] |= 1 << v
-        return tuple(adj)
-
-    @cached_property
-    def any_adj(self) -> tuple[NodeSet, ...]:
-        """Adjacency ignoring edge kind and direction."""
-        return tuple(
-            self.und_adj[v] | self.pa_adj[v] | self.ch_adj[v] for v in range(self.n)
-        )
 
     @cached_property
     def is_cg(self) -> bool:
@@ -244,7 +220,7 @@ def parse_graph(text: str) -> MixedGraph:
     index: dict[str, int] = {}
     und: set[tuple[int, int]] = set()
     dire: set[tuple[int, int]] = set()
-    pairs_seen: set[frozenset[int]] = set()
+    pairs_seen: set[tuple[int, int]] = set()
 
     def declare(lab: str, line_no: int) -> int:
         if lab not in index:
@@ -270,14 +246,14 @@ def parse_graph(text: str) -> MixedGraph:
             b = declare(tokens[2], line_no)
             if a == b:
                 raise GraphParseError(f"self-loop at {tokens[0]!r}", line_no)
-            pair = frozenset((a, b))
+            pair = (min(a, b), max(a, b))
             if pair in pairs_seen:
                 raise GraphParseError(
                     f"duplicate edge between {tokens[0]!r} and {tokens[2]!r}", line_no
                 )
             pairs_seen.add(pair)
             if tokens[1] == "--":
-                und.add((min(a, b), max(a, b)))
+                und.add(pair)
             else:
                 dire.add((a, b))
         else:
@@ -294,22 +270,6 @@ def format_graph(g: MixedGraph) -> str:
     for i, j in sorted(g.directed):
         lines.append(f"{g.labels[i]} -> {g.labels[j]}")
     return "\n".join(lines) + "\n"
-
-
-def induced_subgraph(g: MixedGraph, keep: NodeSet) -> MixedGraph:
-    """Subgraph over `keep`, retaining edges with both endpoints kept.
-
-    Nodes are renumbered to 0..|keep|-1 in increasing original order;
-    labels are preserved.
-    """
-    if keep & ~g.full_mask:
-        raise ValueError("induced node set contains nodes outside the graph")
-    old = node_list(keep)
-    remap = {o: i for i, o in enumerate(old)}
-    inside = lambda i, j: (keep >> i) & 1 and (keep >> j) & 1
-    und = frozenset((remap[i], remap[j]) for i, j in g.undirected if inside(i, j))
-    dire = frozenset((remap[i], remap[j]) for i, j in g.directed if inside(i, j))
-    return MixedGraph(len(old), tuple(g.labels[o] for o in old), und, dire)
 
 
 def ancestors(g: MixedGraph, targets: NodeSet) -> NodeSet:

@@ -87,7 +87,7 @@ def require_kind(g: MixedGraph, kind: GraphKind) -> None:
 def _moral_adj_within(g: MixedGraph, inside: NodeSet) -> list[NodeSet]:
     """Adjacency of the moral graph of the subgraph induced by `inside`,
     indexed by original node ids (entries outside `inside` are unused)."""
-    adj = [g.any_adj[v] & inside for v in range(g.n)]
+    adj = [a & inside for a in g.any_adj]
     remaining = inside
     while remaining:
         comp = reachable(g.und_adj, remaining & -remaining, inside)

@@ -32,19 +32,7 @@ class LatentDag:
     """DAG over the original nodes plus one latent collider per edge."""
 
     dag: MixedGraph
-    original_count: int
     latents: tuple[tuple[int, int, int], ...]  # (a, b, latent index)
-
-    @property
-    def original_mask(self) -> int:
-        return (1 << self.original_count) - 1
-
-    def latent_for(self, a: int, b: int) -> int:
-        a, b = min(a, b), max(a, b)
-        for i, j, latent in self.latents:
-            if (i, j) == (a, b):
-                return latent
-        raise KeyError(f"no edge between nodes {a} and {b}")
 
 
 def latent_dag(g: MixedGraph) -> LatentDag:
@@ -72,7 +60,7 @@ def latent_dag(g: MixedGraph) -> LatentDag:
         arrows.append((latent, b))
         latents.append((a, b, latent))
     dag = MixedGraph(len(labels), tuple(labels), frozenset(), frozenset(arrows))
-    return LatentDag(dag, g.n, tuple(latents))
+    return LatentDag(dag, tuple(latents))
 
 
 def verify_latent_equivalence(g: MixedGraph, max_nodes: int = MAX_LATENT_NODES) -> Report:

@@ -11,12 +11,31 @@ from __future__ import annotations
 from covgraph import MixedGraph, sep
 
 
+def mask_of(nodes) -> int:
+    """Bitmask of an iterable of node indices."""
+    m = 0
+    for i in nodes:
+        m |= 1 << i
+    return m
+
+
 def und_neighbor_sets(g: MixedGraph) -> dict[int, set[int]]:
     nbr: dict[int, set[int]] = {v: set() for v in range(g.n)}
     for i, j in g.undirected:
         nbr[i].add(j)
         nbr[j].add(i)
     return nbr
+
+
+def naive_adjacency_masks(g: MixedGraph) -> tuple[tuple[int, ...], ...]:
+    """(und_adj, pa_adj, any_adj) straight from the edge sets: per node,
+    its undirected neighbours, the tails of arrows into it, and every node
+    joined to it by any edge."""
+    nbr = und_neighbor_sets(g)
+    und = tuple(mask_of(nbr[v]) for v in range(g.n))
+    pa = tuple(mask_of(u for u, w in g.directed if w == v) for v in range(g.n))
+    ch = tuple(mask_of(w for u, w in g.directed if u == v) for v in range(g.n))
+    return und, pa, tuple(u | p | c for u, p, c in zip(und, pa, ch))
 
 
 def all_simple_paths(nbr: dict[int, set[int]], a: int, b: int,

@@ -217,11 +217,20 @@ class TestVerifyCommands:
         (["--scope", "all", "--graphs", "-1"], "random graph"),
         (["--scope", "latent", "--n-max", "6"], "latent sweep limited"),
         (["--scope", "forest", "--n-max", "8"], "forest sweep limited"),
+        (["--scope", "latent", "--trials", "3"], "--trials applies to --scope theorems"),
+        (["--scope", "forest", "--tol", "1e-6"], "--tol applies to --scope corollaries, all"),
+        (["--scope", "latent", "--seed", "3"], "--seed applies to --scope theorems"),
+        (["--scope", "corollaries", "--n-max", "2", "--trials", "1", "--tol", "nan"],
+         "tolerance"),
+        (["--scope", "corollaries", "--n-max", "2", "--trials", "1", "--tol=inf"],
+         "tolerance"),
+        (["--scope", "corollaries", "--n-max", "1", "--tol", "nan"], "tolerance"),
     ])
     def test_bad_counts_are_errors(self, capsys, argv, message):
         # 0 and negative counts are refused, not replaced by the defaults
         # or run as an empty sweep; sizes past a sweep's limit are refused
-        # up front instead of running for hours
+        # up front instead of running for hours; a flag the scope does not
+        # read and a non-finite tolerance are refused instead of ignored
         code, out, err = run_cli(capsys, ["verify", *argv])
         assert code == 2
         assert out == ""

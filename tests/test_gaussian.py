@@ -173,8 +173,9 @@ class TestCiTest:
             ci_test(m, 0, 0, 0)
         with pytest.raises(ValueError):
             ci_test(m, 0, 1, bit(1))
-        with pytest.raises(ValueError):
-            ci_test(m, 0, 1, 0, tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tolerance"):
+                ci_test(m, 0, 1, 0, tol=tol)
 
 
 class TestGraphRecovery:
@@ -260,6 +261,14 @@ class TestFaithfulness:
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             faithfulness_report(MixedGraph.ug("ABCDEFG"), trials=1)
+
+    def test_tolerance_checked_without_pairs(self):
+        # a one-node graph has no pair, so ci_test never runs
+        g = MixedGraph.ug("A")
+        with pytest.raises(ValueError, match="tolerance"):
+            faithfulness_report(g, trials=1, tol=float("nan"))
+        with pytest.raises(ValueError, match="tolerance"):
+            covariance_graph_of(sample_markov_gaussian(g, 0), float("inf"), g.labels)
 
     def test_dependence_certified_numerically(self):
         # a graph-certified dependence should show up as a dependent pair

@@ -1,5 +1,5 @@
-"""Graph machinery: parsing, subgraphs, ancestors, components, disjoint
-splits, moralization, chain-graph validity."""
+"""Graph machinery: parsing, adjacency masks, ancestors, components,
+disjoint splits, moralization, chain-graph validity."""
 
 from itertools import product
 
@@ -14,10 +14,8 @@ from covgraph import (
     bit,
     connectivity_components,
     format_graph,
-    induced_subgraph,
     is_chain_graph,
     iter_nodes,
-    mask_of,
     parse_graph,
     submasks,
 )
@@ -26,6 +24,8 @@ from covgraph.separation import _moral_adj_within
 from oracles import (
     dag_is_acyclic_dfs,
     has_semi_directed_cycle,
+    mask_of,
+    naive_adjacency_masks,
     naive_ancestors,
     naive_moral_adjacency,
 )
@@ -115,44 +115,6 @@ class TestParse:
     @given(mixed_graphs())
     def test_format_roundtrip(self, g):
         assert parse_graph(format_graph(g)) == g
-
-
-class TestInducedSubgraph:
-    def test_cycle_to_path(self):
-        g = cycle4()
-        sub = induced_subgraph(g, mask_of([0, 1, 2]))
-        assert sub.labels == ("A", "B", "C")
-        assert sub.undirected == frozenset({(0, 1), (1, 2)})
-
-    def test_identity_and_empty(self):
-        g = cycle4()
-        assert induced_subgraph(g, g.full_mask) == g
-        assert induced_subgraph(g, 0).n == 0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            induced_subgraph(cycle4(), 1 << 10)
-
-    @given(mixed_graphs(), st.data())
-    def test_edges_are_double_filtered(self, g, data):
-        keep = data.draw(st.integers(0, g.full_mask))
-        sub = induced_subgraph(g, keep)
-        kept_labels = {g.labels[v] for v in iter_nodes(keep)}
-        expect_und = {
-            frozenset((g.labels[i], g.labels[j]))
-            for i, j in g.undirected
-            if g.labels[i] in kept_labels and g.labels[j] in kept_labels
-        }
-        got_und = {
-            frozenset((sub.labels[i], sub.labels[j])) for i, j in sub.undirected
-        }
-        assert got_und == expect_und
-        expect_dir = {
-            (g.labels[i], g.labels[j])
-            for i, j in g.directed
-            if g.labels[i] in kept_labels and g.labels[j] in kept_labels
-        }
-        assert {(sub.labels[i], sub.labels[j]) for i, j in sub.directed} == expect_dir
 
 
 class TestAncestors:
@@ -268,8 +230,20 @@ class TestMixedGraphValidation:
             MixedGraph(2, ("A", "B"), frozenset({(1, 1)}))
 
     def test_rejects_conflicting_edges(self):
-        with pytest.raises(ValueError):
-            MixedGraph(2, ("A", "B"), frozenset({(0, 1)}), frozenset({(1, 0)}))
+        for arrow in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="both an undirected edge and an arrow"):
+                MixedGraph(2, ("A", "B"), frozenset({(0, 1)}), frozenset({arrow}))
+
+    @pytest.mark.parametrize("pair", [(-1, 1), (0, -1), (0, 2), (2, 1)])
+    @pytest.mark.parametrize("field", ["undirected", "directed"])
+    def test_rejects_endpoint_out_of_range(self, field, pair):
+        # -1 must not wrap around to the last node's mask
+        with pytest.raises(ValueError, match="edge endpoint outside"):
+            MixedGraph(2, ("A", "B"), **{field: frozenset({pair})})
+
+    @given(mixed_graphs())
+    def test_adjacency_masks_match_edge_sets(self, g):
+        assert (g.und_adj, g.pa_adj, g.any_adj) == naive_adjacency_masks(g)
 
     def test_rejects_unnormalized_pair(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ class TestLatentDag:
         assert ld.dag.n == 3
         assert ld.dag.labels == ("A", "B", "L_A_B")
         assert ld.dag.directed == frozenset({(2, 0), (2, 1)})
-        assert ld.latent_for(0, 1) == 2
+        assert ld.latents == ((0, 1, 2),)
 
     def test_edgeless(self):
         ld = latent_dag(MixedGraph.ug("ABC"))
@@ -53,8 +53,9 @@ class TestLatentDag:
             assert is_chain_graph(ld.dag)
 
     def test_originals_have_no_outgoing_and_latents_depth_one(self):
-        ld = latent_dag(cycle4())
-        original = ld.original_mask
+        g = cycle4()
+        ld = latent_dag(g)
+        original = (1 << g.n) - 1
         for tail, _head in ld.dag.directed:
             assert not (original >> tail) & 1
         for _a, _b, latent in ld.latents:
@@ -74,11 +75,6 @@ class TestLatentDag:
     def test_requires_ug(self):
         with pytest.raises(ValueError):
             latent_dag(MixedGraph.dag("AB", [("A", "B")]))
-
-    def test_latent_for_missing_edge(self):
-        ld = latent_dag(cycle4())
-        with pytest.raises(KeyError):
-            ld.latent_for(0, 2)
 
 
 class TestLatentEquivalence:
