@@ -15,6 +15,7 @@ from typing import Sequence
 from .closure import NotEstablishedError, explain, saturate
 from .gaussian import (
     DEFAULT_TOL,
+    MIN_FAITHFUL_FRACTION,
     dump_model,
     faithfulness_report,
     nd_dimension,
@@ -108,19 +109,18 @@ def _cmd_closure(args) -> int:
     g = _load_graph(args.graph)
     state = saturate(g)
     rows = []
+    lines = []
     for t in state.sorted_statements():
+        rule = state.provenance[t].rule
         rows.append({
             "x": _label_list(g, t.x),
             "y": _label_list(g, t.y),
             "z": _label_list(g, t.z),
             "status": "DEPENDENT",
-            "rule": state.provenance[t].rule,
+            "rule": rule,
         })
+        lines.append(f"{t.render(g.labels)} ; DEPENDENT ; {rule}")
     payload = {"command": "closure", "statements": rows}
-    lines = [
-        f"{t.render(g.labels)} ; DEPENDENT ; {state.provenance[t].rule}"
-        for t in state.sorted_statements()
-    ]
     _emit(args, payload, "\n".join(lines) if lines else "(no dependencies)")
     return EXIT_HOLDS
 
@@ -220,7 +220,7 @@ def _cmd_gaussian(args) -> int:
             f"faithful trials: {rep.faithful_trials}/{rep.trials} "
             f"(fraction {rep.faithful_fraction:.3f})"
         )
-        if rep.faithful_fraction < 0.95:
+        if rep.faithful_fraction < MIN_FAITHFUL_FRACTION:
             code = EXIT_DOES_NOT_HOLD
     _emit(args, payload, "\n".join(text_parts))
     return code

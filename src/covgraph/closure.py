@@ -3,10 +3,11 @@
 Adjacent nodes of a covariance graph are marginally dependent; further
 dependencies follow by the contrapositive forms of the graphoid
 properties plus weak transitivity and composition (nine rules in all).
-Independence antecedents are discharged by the covariance-graph
-criterion, never by absence from the closure.  The engine materializes
-the finite statement universe and sweeps every disjoint split of the
-vertex set until fixpoint, recording the first derivation per statement.
+Independence antecedents are read from the graph's covariance
+independence table, never from absence from the closure.  The engine
+materializes the finite statement universe and sweeps every disjoint
+split of the vertex set until fixpoint, recording the first derivation
+per statement.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from functools import lru_cache
 
 from .graphs import GraphKind, MixedGraph, SizeLimitError, bit, disjoint_splits, iter_nodes
 from .report import Report
-from .separation import CITriple, ci_independent
+from .separation import CITriple, all_independencies, ci_independent
 
 RULE_BASE = "base"
-RULE_SYMMETRY = "symmetry"  # absorbed by the canonical statement form
+RULE_SYMMETRY = "symmetry"  # absorbed by storing both orders of X and Y
 RULE_DECOMPOSITION = "decomposition"
 RULE_WEAK_UNION = "weak-union"
 RULE_CONTRACTION1 = "contraction1"
@@ -67,10 +68,6 @@ class ClosureState:
         return sorted(self.established, key=CITriple.sort_key)
 
 
-def _canon(x: int, y: int, z: int) -> tuple[int, int, int]:
-    return (x, y, z) if x <= y else (y, x, z)
-
-
 @lru_cache(maxsize=None)
 def _set_splits(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """All (X, Y, Z, W) with X, Y, W nonempty and X, Y, Z, W disjoint."""
@@ -103,25 +100,23 @@ def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
     if g.n > MAX_CLOSURE_NODES:
         raise SizeLimitError(f"closure limited to {MAX_CLOSURE_NODES} nodes")
 
-    indep_cache: dict[tuple[int, int, int], bool] = {}
-
-    def indep(x: int, y: int, z: int) -> bool:
-        key = _canon(x, y, z)
-        hit = indep_cache.get(key)
-        if hit is None:
-            hit = ci_independent(g, GraphKind.COVARIANCE, x, y, z)
-            indep_cache[key] = hit
-        return hit
-
+    # Statements are stored under both orders of X and Y, so no lookup
+    # has to put a triple into canonical form first.
+    indep = {(t.x, t.y, t.z) for t in all_independencies(g, GraphKind.COVARIANCE)}
+    indep |= {(y, x, z) for x, y, z in indep}
     est: set[tuple[int, int, int]] = set()
-    prov: dict[tuple[int, int, int], tuple] = {}
+    provenance: dict[CITriple, Derivation] = {}
 
     def add(x, y, z, rule, deps, indeps) -> bool:
-        key = _canon(x, y, z)
-        if key in est:
+        if (x, y, z) in est:
             return False
-        est.add(key)
-        prov[key] = (rule, deps, indeps)
+        est.add((x, y, z))
+        est.add((y, x, z))
+        provenance[CITriple(x, y, z)] = Derivation(
+            rule,
+            tuple(CITriple(*d) for d in deps),
+            tuple(CITriple(*i) for i in indeps),
+        )
         return True
 
     for i, j in g.undirected:
@@ -141,43 +136,34 @@ def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
         for x, y, z, w in set_splits:
             yw = y | w
             zw = z | w
-            small = _canon(x, y, z)
-            moved = _canon(x, y, zw)
-            wide = _canon(x, yw, z)
+            small = (x, y, z)
+            moved = (x, y, zw)
+            wide = (x, yw, z)
             if wide not in est:
                 if small in est:
                     changed |= add(x, yw, z, RULE_DECOMPOSITION, (small,), ())
                 elif moved in est:
                     changed |= add(x, yw, z, RULE_WEAK_UNION, (moved,), ())
             if wide in est:
-                if indep(x, y, zw):
-                    changed |= add(x, w, z, RULE_CONTRACTION1, (wide,), ((x, y, zw),))
-                    changed |= add(x, w, z | y, RULE_INTERSECTION, (wide,), ((x, y, zw),))
-                if indep(x, w, z):
+                if moved in indep:
+                    changed |= add(x, w, z, RULE_CONTRACTION1, (wide,), (moved,))
+                    changed |= add(x, w, z | y, RULE_INTERSECTION, (wide,), (moved,))
+                if (x, w, z) in indep:
                     changed |= add(x, y, zw, RULE_CONTRACTION2, (wide,), ((x, w, z),))
-                if indep(x, y, z):
-                    changed |= add(x, w, z, RULE_COMPOSITION, (wide,), ((x, y, z),))
+                if small in indep:
+                    changed |= add(x, w, z, RULE_COMPOSITION, (wide,), (small,))
         for x, y, z, k in node_splits:
-            first = _canon(x, k, z)
-            second = _canon(k, y, z)
+            first = (x, k, z)
+            second = (k, y, z)
             if first in est and second in est:
-                if indep(x, y, z):
+                if (x, y, z) in indep:
                     changed |= add(x, y, z | k, RULE_WEAK_TRANSITIVITY1,
                                    (first, second), ((x, y, z),))
-                if indep(x, y, z | k):
+                if (x, y, z | k) in indep:
                     changed |= add(x, y, z, RULE_WEAK_TRANSITIVITY2,
                                    (first, second), ((x, y, z | k),))
 
-    statements = frozenset(CITriple(*key) for key in est)
-    provenance = {
-        CITriple(*key): Derivation(
-            rule,
-            tuple(CITriple(*d) for d in deps),
-            tuple(CITriple(*i) for i in indeps),
-        )
-        for key, (rule, deps, indeps) in prov.items()
-    }
-    return ClosureState(g, statements, provenance, sweeps)
+    return ClosureState(g, frozenset(provenance), provenance, sweeps)
 
 
 class NotEstablishedError(KeyError):

@@ -29,6 +29,7 @@ from .separation import ci_independent
 
 DEFAULT_TOL = 1e-9
 MAX_FAITHFULNESS_NODES = 6
+MIN_FAITHFUL_FRACTION = 0.95  # share of trials that must be faithful
 
 
 def det(rows: Sequence[Sequence[float]]) -> float:
@@ -125,6 +126,8 @@ def sample_markov_gaussian(g: MixedGraph, seed: int) -> GaussianModel:
     """
     if not g.is_undirected_graph:
         raise ValueError("sampling requires an undirected graph")
+    if seed < 0:
+        raise ValueError("seed must not be negative")
     rng = random.Random(seed)
     n = g.n
     sig = [[0.0] * n for _ in range(n)]

@@ -14,6 +14,7 @@ from .connection import all_dependencies
 from .gaussian import (
     DEFAULT_TOL,
     MAX_FAITHFULNESS_NODES,
+    MIN_FAITHFUL_FRACTION,
     ci_test,
     concentration_graph_of,
     covariance_graph_of,
@@ -67,6 +68,8 @@ def theorems_sweep(n_max: int = 5, random_graphs: int = 200, seed: int = 0) -> d
     _require_n_max("theorems", n_max, MAX_CLOSURE_NODES)
     if random_graphs < 0:
         raise ValueError("random graph count must not be negative")
+    if seed < 0:
+        raise ValueError("seed must not be negative")
     failures: list[str] = []
     exhaustive = 0
     for n in range(1, min(n_max, 4) + 1):
@@ -150,14 +153,13 @@ def corollaries_sweep(
     trials: int = 100,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    threshold: float = 0.95,
 ) -> dict:
     """Sampled-model checks per connected UG.
 
-    Per graph, at least `threshold` of the trials must be numerically
-    faithful (determinant test agrees with the graph criterion on every
-    (i, j, K)).  On every faithful trial the recovered covariance and
-    concentration graphs must share connected components and map tree
+    Per graph, at least `MIN_FAITHFUL_FRACTION` of the trials must be
+    numerically faithful (determinant test agrees with the graph criterion
+    on every (i, j, K)).  On every faithful trial the recovered covariance
+    and concentration graphs must share connected components and map tree
     components to complete dual components; a recovery defect on a trial
     that already failed faithfulness is the same near-zero-determinant
     event seen twice, so it is tallied separately and does not fail the
@@ -206,17 +208,18 @@ def corollaries_sweep(
             faithful_trials += faithful
             fraction = faithful / trials
             min_fraction = min(min_fraction, fraction)
-            if fraction < threshold:
+            if fraction < MIN_FAITHFUL_FRACTION:
                 below_threshold += 1
                 _record(failures,
-                        f"{_describe(g)} faithful fraction {fraction:.3f} < {threshold}")
+                        f"{_describe(g)} faithful fraction {fraction:.3f} "
+                        f"< {MIN_FAITHFUL_FRACTION}")
     return {
         "scope": "corollaries",
         "n_max": n_max,
         "trials": trials,
         "seed": seed,
         "tol": tol,
-        "threshold": threshold,
+        "threshold": MIN_FAITHFUL_FRACTION,
         "graphs": graphs,
         "total_trials": total_trials,
         "faithful_trials": faithful_trials,

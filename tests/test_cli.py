@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, text output, JSON stability."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -155,6 +156,45 @@ class TestClosureCommands:
         assert "not in the closure" in err
 
 
+PENTAGON_CHORD = "A -- B\nB -- C\nC -- D\nD -- E\nE -- A\nA -- C\n"
+HEXAGON_CHORD = "A -- B\nB -- C\nC -- D\nD -- E\nE -- F\nF -- A\nB -- E\n"
+
+
+class TestPinnedClosureBytes:
+    """One sha256 per graph over the exit code, stdout and stderr of
+    `closure` (text and --json), of `explain` in each listed mode on every
+    established statement, and of `explain` on an absent statement.  Any
+    change to a derivation, a rule name or the rendering moves a digest."""
+
+    @pytest.mark.parametrize("graph, explain_modes, digest", [
+        (CYCLE4, (["--json"], []),
+         "90cb7856099dfa74bb99fb35b5c6107b8d82c98b82f51824a2f11778b842d764"),
+        (PENTAGON_CHORD, (["--json"],),
+         "02e0a5f09e7ef7086989b7c2dda10e48bea749454d5913fe9d936bb818e40383"),
+        (HEXAGON_CHORD, (),
+         "96856b760bd49b25bbfc425641179d43c73ec4b6748e102992d581672ff87c83"),
+    ], ids=["cycle4", "pentagon-chord", "hexagon-chord"])
+    def test_digest(self, capsys, tmp_path, graph, explain_modes, digest):
+        path = tmp_path / "graph.g"
+        path.write_text(graph)
+        h = hashlib.sha256()
+
+        def call(*argv):
+            code, out, err = run_cli(capsys, [argv[0], "-g", str(path), *argv[1:]])
+            h.update(f"{code}\n{len(out)}\n{out}{len(err)}\n{err}".encode())
+            return out
+
+        call("closure")
+        rows = json.loads(call("closure", "--json"))["statements"]
+        if explain_modes:
+            for row in rows:
+                sets = [f"-{k.upper()}={','.join(row[k])}" for k in "xyz" if row[k]]
+                for mode in explain_modes:
+                    call("explain", *mode, *sets)
+            call("explain", "-X", "B", "-Y", "D")  # not adjacent: absent, exit 2
+        assert h.hexdigest() == digest
+
+
 class TestVerifyCommands:
     def test_theorems_small(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--scope", "theorems",
@@ -225,6 +265,10 @@ class TestVerifyCommands:
         (["--scope", "corollaries", "--n-max", "2", "--trials", "1", "--tol=inf"],
          "tolerance"),
         (["--scope", "corollaries", "--n-max", "1", "--tol", "nan"], "tolerance"),
+        (["--scope", "theorems", "--n-max", "2", "--seed", "-1"],
+         "seed must not be negative"),
+        (["--scope", "corollaries", "--n-max", "2", "--trials", "1", "--seed", "-1"],
+         "seed must not be negative"),
     ])
     def test_bad_counts_are_errors(self, capsys, argv, message):
         # 0 and negative counts are refused, not replaced by the defaults
@@ -265,6 +309,13 @@ class TestGaussianCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["faithfulness"]["trials"] == 20
+
+    def test_negative_seed_is_error(self, capsys, cycle4_file):
+        code, out, err = run_cli(capsys, ["gaussian", "-g", cycle4_file,
+                                          "--seed", "-3"])
+        assert code == 2
+        assert out == ""
+        assert "seed must not be negative" in err
 
     def test_identical_seeds_identical_output(self, capsys, cycle4_file):
         argv = ["gaussian", "-g", cycle4_file, "--seed", "3", "--json"]

@@ -124,6 +124,15 @@ class TestSampling:
         for i, j in cycle4().undirected:
             assert m.sigma[i][j] != 0.0
 
+    def test_negative_seed_is_refused(self):
+        # Random(-s) draws what Random(s) draws, so a negative seed would
+        # report one seed and sample another
+        g = cycle4()
+        with pytest.raises(ValueError, match="seed must not be negative"):
+            sample_markov_gaussian(g, -3)
+        with pytest.raises(ValueError, match="seed must not be negative"):
+            faithfulness_report(g, 1, -1)
+
     def test_every_draw_is_positive_definite(self):
         # construction runs the Cholesky certificate; Gershgorin guarantees
         # it succeeds for every seed
