@@ -12,10 +12,11 @@ per statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .graphs import GraphKind, MixedGraph, SizeLimitError, bit, disjoint_splits, iter_nodes
+from .graphs import (GraphKind, MixedGraph, SizeLimitError, bit, disjoint_splits,
+                     format_nodeset, iter_nodes)
 from .report import Report
 from .separation import CITriple, all_independencies, ci_independent
 
@@ -63,6 +64,11 @@ class ClosureState:
     established: frozenset[CITriple]
     provenance: dict[CITriple, Derivation]
     sweeps: int
+    # Filled by `explain`: the rendered derivation tree of each statement
+    # explained so far, and the name of every node set of the graph.
+    trees: dict[CITriple, str] = field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
+    set_names: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def sorted_statements(self) -> list[CITriple]:
         return sorted(self.established, key=CITriple.sort_key)
@@ -172,25 +178,32 @@ class NotEstablishedError(KeyError):
 
 def explain(state: ClosureState, triple: CITriple) -> str:
     """Derivation tree of an established statement, down to base edges and
-    graph-certified independencies."""
+    graph-certified independencies.  Each subtree is rendered once per
+    state and reused by every tree that contains it."""
     if triple not in state.established:
         raise NotEstablishedError(
             f"{triple.render(state.graph.labels)} is not in the closure"
         )
-    labels = state.graph.labels
-    lines: list[str] = []
+    if not state.set_names:
+        labels = state.graph.labels
+        state.set_names = tuple(format_nodeset(m, labels) for m in range(1 << state.graph.n))
+    return _tree(state, triple)
 
-    def visit(t: CITriple, depth: int) -> None:
+
+def _tree(state: ClosureState, t: CITriple) -> str:
+    # Module level, not nested in `explain`: a recursive nested function
+    # refers to itself through its closure cell, and that cycle would keep
+    # the state and its memo alive until the cyclic collector runs.
+    text = state.trees.get(t)
+    if text is None:
+        names = state.set_names
         d = state.provenance[t]
-        pad = "  " * depth
-        lines.append(f"{pad}{t.render(labels)}  [{d.rule}]")
-        for ind in d.independencies:
-            lines.append(f"{pad}  {ind.render(labels)}  [independent by graph]")
-        for dep in d.dependencies:
-            visit(dep, depth + 1)
-
-    visit(triple, 0)
-    return "\n".join(lines)
+        lines = [f"{names[t.x]} ; {names[t.y]} ; {names[t.z]}  [{d.rule}]"]
+        lines += [f"  {names[i.x]} ; {names[i.y]} ; {names[i.z]}  [independent by graph]"
+                  for i in d.independencies]
+        lines += ["  " + _tree(state, dep).replace("\n", "\n  ") for dep in d.dependencies]
+        text = state.trees[t] = "\n".join(lines)
+    return text
 
 
 def replay_provenance(state: ClosureState) -> Report:

@@ -1,6 +1,8 @@
 """Rule-engine saturation: base, rules, fixpoint, provenance."""
 
+import gc
 import random
+import weakref
 from collections import Counter
 from itertools import product
 
@@ -23,6 +25,7 @@ from covgraph import (
 from covgraph.closure import RULES, RULE_BASE, RULE_WEAK_TRANSITIVITY1
 from covgraph.smallgraphs import all_ugs, random_ug
 from covgraph.verify import _closure_matches
+from oracles import naive_explain
 
 COV = GraphKind.COVARIANCE
 
@@ -257,6 +260,35 @@ class TestExplain:
         state = saturate(path3())
         with pytest.raises(NotEstablishedError):
             explain(state, CITriple(bit(0), bit(2), 0))
+
+    def test_matches_naive_renderer(self):
+        """Every statement of every labeled UG of up to 4 nodes and of
+        seeded random 5- and 6-node UGs, explained in sorted and in reverse
+        order, each order on a fresh state, renders as the from-scratch
+        renderer does."""
+        rng = random.Random(20261018)
+        graphs = [g for n in range(1, 5) for g in all_ugs(n)]
+        graphs += [random_ug(5, rng) for _ in range(10)]
+        graphs += [random_ug(6, rng) for _ in range(4)]
+        for g in graphs:
+            reference = saturate(g)
+            ordered = reference.sorted_statements()
+            want = [naive_explain(reference, t) for t in ordered]
+            for ts, texts in ((ordered, want), (ordered[::-1], want[::-1])):
+                state = saturate(g)
+                assert [explain(state, t) for t in ts] == texts
+
+    def test_state_is_freed_without_the_cycle_collector(self):
+        state = saturate(cycle4())
+        ref = weakref.ref(state)
+        gc.disable()
+        try:
+            for t in state.sorted_statements():
+                explain(state, t)
+            del state
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def test_rule_inventory_names():
