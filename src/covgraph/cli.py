@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Sequence
 
-from .closure import NotEstablishedError, explain, saturate
+from .closure import explain, saturate
 from .gaussian import (
     DEFAULT_TOL,
     MIN_FAITHFUL_FRACTION,
@@ -142,10 +142,7 @@ def _cmd_explain(args) -> int:
     state = saturate(g)
     x, y, z = _resolve(g, args)
     triple = CITriple(x, y, z)
-    try:
-        tree = explain(state, triple)
-    except NotEstablishedError as exc:
-        raise ValueError(str(exc)) from None
+    tree = explain(state, triple)
     payload = {"command": "explain",
                "tree": _explain_payload(state, triple, g.labels)}
     _emit(args, payload, tree)

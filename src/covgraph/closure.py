@@ -172,7 +172,7 @@ def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
     return ClosureState(g, frozenset(provenance), provenance, sweeps)
 
 
-class NotEstablishedError(KeyError):
+class NotEstablishedError(ValueError):
     pass
 
 
