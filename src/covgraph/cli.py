@@ -2,6 +2,8 @@
 
 Exit codes for `indep` and `dep`: 0 when the criterion holds, 1 when it
 does not, 2 on any error.  `verify` exits 0 iff every assertion passed.
+Any command whose reader closes stdout early exits 141 (128 + SIGPIPE)
+and prints nothing on stderr.
 Text output is for humans; pass --json for the stable machine format.
 """
 
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -19,6 +22,7 @@ from .gaussian import (
     dump_model,
     faithfulness_report,
     nd_dimension,
+    require_tolerance,
     sample_markov_gaussian,
 )
 from .graphs import GraphKind, MixedGraph, format_graph, iter_nodes, parse_graph
@@ -36,6 +40,7 @@ from .verify import (
 EXIT_HOLDS = 0
 EXIT_DOES_NOT_HOLD = 1
 EXIT_ERROR = 2
+EXIT_BROKEN_PIPE = 128 + 13  # SIGPIPE
 
 
 def _load_graph(path: str) -> MixedGraph:
@@ -193,6 +198,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gaussian(args) -> int:
+    require_tolerance(args.tol)
     g = _load_graph(args.graph)
     model = sample_markov_gaussian(g, args.seed)
     payload = {
@@ -312,7 +318,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so the flush at
+        # exit cannot fail again, and exit as a process killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -317,6 +317,13 @@ class TestGaussianCommand:
         assert out == ""
         assert "seed must not be negative" in err
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_without_trials_is_error(self, capsys, cycle4_file, tol):
+        code, out, err = run_cli(capsys, ["gaussian", "-g", cycle4_file, "--tol", tol])
+        assert code == 2
+        assert out == ""
+        assert err == "error: tolerance must be positive and finite\n"
+
     def test_identical_seeds_identical_output(self, capsys, cycle4_file):
         argv = ["gaussian", "-g", cycle4_file, "--seed", "3", "--json"]
         _, out1, _ = run_cli(capsys, argv)
@@ -352,3 +359,18 @@ class TestProcessDeterminism:
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+
+class TestClosedStdout:
+    def test_exits_141_quietly(self, tmp_path):
+        p = tmp_path / "cycle4.g"
+        p.write_text(CYCLE4)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run([sys.executable, "-m", "covgraph.cli", "closure",
+                                   "-g", str(p)], stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
