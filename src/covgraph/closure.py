@@ -66,8 +66,7 @@ class ClosureState:
     sweeps: int
     # Filled by `explain`: the rendered derivation tree of each statement
     # explained so far, and the name of every node set of the graph.
-    trees: dict[CITriple, str] = field(default_factory=dict, init=False, repr=False,
-                                       compare=False)
+    trees: dict[CITriple, str] = field(default_factory=dict, init=False, repr=False, compare=False)
     set_names: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def sorted_statements(self) -> list[CITriple]:
