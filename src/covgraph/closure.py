@@ -74,24 +74,35 @@ class ClosureState:
 
 
 @lru_cache(maxsize=None)
-def _set_splits(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """All (X, Y, Z, W) with X, Y, W nonempty and X, Y, Z, W disjoint."""
-    return tuple(
-        (x, y, z, w)
+def _sites(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The statement keys each rule site reads, the key of (X, Y, Z) being
+    `x | y << n | z << 2*n`.
+
+    Set sites, one per (X, Y, Z, W) with X, Y, W nonempty and X, Y, Z, W
+    disjoint: the keys of (X,Y,Z), (X,Y,ZW), (X,YW,Z), (X,W,Z), (X,W,ZY).
+    Node sites, one per (X, Y, Z, K) with X, Y nonempty, K a single node,
+    all disjoint: the keys of (X,K,Z), (K,Y,Z), (X,Y,Z), (X,Y,ZK).
+    Equal keys are interned to one int object, which keeps the tables small.
+    """
+    n2 = 2 * n
+    interned: dict[int, int] = {}
+
+    def key(x: int, y: int, z: int) -> int:
+        k = x | y << n | z << n2
+        return interned.setdefault(k, k)
+
+    set_sites = tuple(
+        (key(x, y, z), key(x, y, z | w), key(x, y | w, z), key(x, w, z), key(x, w, z | y))
         for x, y, z, w, _rest in disjoint_splits(n, 5)
         if x and y and w
     )
-
-
-@lru_cache(maxsize=None)
-def _node_splits(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """All (X, Y, Z, K) with X, Y nonempty, K a single node, all disjoint."""
-    return tuple(
-        (x, y, z, bit(k))
+    node_sites = tuple(
+        (key(x, k, z), key(k, y, z), key(x, y, z), key(x, y, z | k))
         for x, y, z, rest in disjoint_splits(n, 4)
         if x and y
-        for k in iter_nodes(rest)
+        for k in map(bit, iter_nodes(rest))
     )
+    return set_sites, node_sites
 
 
 def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
@@ -105,68 +116,65 @@ def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
     if g.n > MAX_CLOSURE_NODES:
         raise SizeLimitError(f"closure limited to {MAX_CLOSURE_NODES} nodes")
 
-    # Statements are stored under both orders of X and Y, so no lookup
-    # has to put a triple into canonical form first.
-    indep = {(t.x, t.y, t.z) for t in all_independencies(g, GraphKind.COVARIANCE)}
-    indep |= {(y, x, z) for x, y, z in indep}
-    est: set[tuple[int, int, int]] = set()
+    # Statements are int keys (see `_sites`), stored under both orders of
+    # X and Y, so no lookup has to put a triple into canonical form first.
+    n = g.n
+    full = g.full_mask
+
+    def keys(t: CITriple) -> tuple[int, int]:
+        z = t.z << 2 * n
+        return t.x | t.y << n | z, t.y | t.x << n | z
+
+    def triple(k: int) -> CITriple:
+        return CITriple(k & full, k >> n & full, k >> 2 * n)
+
+    def add(k, rule, deps, indeps) -> None:
+        t = triple(k)
+        est.update(keys(t))
+        provenance[t] = Derivation(rule, tuple(map(triple, deps)), tuple(map(triple, indeps)))
+
+    indep = {k for t in all_independencies(g, GraphKind.COVARIANCE) for k in keys(t)}
+    est: set[int] = set()
     provenance: dict[CITriple, Derivation] = {}
-
-    def add(x, y, z, rule, deps, indeps) -> bool:
-        if (x, y, z) in est:
-            return False
-        est.add((x, y, z))
-        est.add((y, x, z))
-        provenance[CITriple(x, y, z)] = Derivation(
-            rule,
-            tuple(CITriple(*d) for d in deps),
-            tuple(CITriple(*i) for i in indeps),
-        )
-        return True
-
     for i, j in g.undirected:
-        add(bit(i), bit(j), 0, RULE_BASE, (), ())
+        add(bit(i) | bit(j) << n, RULE_BASE, (), ())
 
-    set_splits = _set_splits(g.n)
-    node_splits = _node_splits(g.n)
+    set_sites, node_sites = _sites(n)
     if _reverse_sweep:
-        set_splits = tuple(reversed(set_splits))
-        node_splits = tuple(reversed(node_splits))
+        set_sites = tuple(reversed(set_sites))
+        node_sites = tuple(reversed(node_sites))
 
+    # Each rule tests its target before adding it: most derivations
+    # re-derive a statement already established.  A sweep that adds
+    # nothing ends the fixpoint.
     sweeps = 0
-    changed = True
-    while changed:
-        changed = False
+    size = -1
+    while size != len(est):
+        size = len(est)
         sweeps += 1
-        for x, y, z, w in set_splits:
-            yw = y | w
-            zw = z | w
-            small = (x, y, z)
-            moved = (x, y, zw)
-            wide = (x, yw, z)
+        for small, moved, wide, xwz, xwzy in set_sites:
             if wide not in est:
                 if small in est:
-                    changed |= add(x, yw, z, RULE_DECOMPOSITION, (small,), ())
+                    add(wide, RULE_DECOMPOSITION, (small,), ())
                 elif moved in est:
-                    changed |= add(x, yw, z, RULE_WEAK_UNION, (moved,), ())
-            if wide in est:
-                if moved in indep:
-                    changed |= add(x, w, z, RULE_CONTRACTION1, (wide,), (moved,))
-                    changed |= add(x, w, z | y, RULE_INTERSECTION, (wide,), (moved,))
-                if (x, w, z) in indep:
-                    changed |= add(x, y, zw, RULE_CONTRACTION2, (wide,), ((x, w, z),))
-                if small in indep:
-                    changed |= add(x, w, z, RULE_COMPOSITION, (wide,), (small,))
-        for x, y, z, k in node_splits:
-            first = (x, k, z)
-            second = (k, y, z)
+                    add(wide, RULE_WEAK_UNION, (moved,), ())
+                else:
+                    continue
+            if moved in indep:
+                if xwz not in est:
+                    add(xwz, RULE_CONTRACTION1, (wide,), (moved,))
+                if xwzy not in est:
+                    add(xwzy, RULE_INTERSECTION, (wide,), (moved,))
+            if xwz in indep and moved not in est:
+                add(moved, RULE_CONTRACTION2, (wide,), (xwz,))
+            if small in indep and xwz not in est:
+                add(xwz, RULE_COMPOSITION, (wide,), (small,))
+        for first, second, xyz, xyzk in node_sites:
             if first in est and second in est:
-                if (x, y, z) in indep:
-                    changed |= add(x, y, z | k, RULE_WEAK_TRANSITIVITY1,
-                                   (first, second), ((x, y, z),))
-                if (x, y, z | k) in indep:
-                    changed |= add(x, y, z, RULE_WEAK_TRANSITIVITY2,
-                                   (first, second), ((x, y, z | k),))
+                if xyz in indep and xyzk not in est:
+                    add(xyzk, RULE_WEAK_TRANSITIVITY1, (first, second), (xyz,))
+                if xyzk in indep and xyz not in est:
+                    add(xyz, RULE_WEAK_TRANSITIVITY2, (first, second), (xyzk,))
 
     return ClosureState(g, frozenset(provenance), provenance, sweeps)
 

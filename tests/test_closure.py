@@ -22,10 +22,10 @@ from covgraph import (
     replay_provenance,
     saturate,
 )
-from covgraph.closure import RULES, RULE_BASE, RULE_WEAK_TRANSITIVITY1
+from covgraph.closure import RULES, RULE_BASE, RULE_WEAK_TRANSITIVITY1, _sites
 from covgraph.smallgraphs import all_ugs, random_ug
 from covgraph.verify import _closure_matches
-from oracles import naive_explain
+from oracles import naive_explain, naive_saturate
 
 COV = GraphKind.COVARIANCE
 
@@ -182,6 +182,47 @@ class TestSaturate:
         for g in (path3(), cycle4()):
             report = replay_provenance(saturate(g))
             assert report.passed, report.violations
+
+    def test_matches_naive_engine(self):
+        """The int-keyed engine and the tuple-keyed one make the same first
+        derivations in the same order, in the same number of sweeps, in
+        both sweep orders, on every labeled UG of up to 4 nodes and on
+        seeded random 5- and 6-node UGs."""
+        rng = random.Random(20261018)
+        graphs = [g for n in range(1, 5) for g in all_ugs(n)]
+        graphs += [random_ug(5, rng) for _ in range(12)]
+        graphs += [random_ug(6, rng) for _ in range(4)]
+        for g in graphs:
+            for reverse in (False, True):
+                got = saturate(g, _reverse_sweep=reverse)
+                want = naive_saturate(g, _reverse_sweep=reverse)
+                assert got.sweeps == want.sweeps
+                assert list(got.provenance.items()) == list(want.provenance.items())
+
+
+class TestSites:
+    @pytest.mark.parametrize("n, set_count, node_count", [
+        (1, 0, 0), (2, 0, 0), (3, 6, 6), (4, 84, 72), (5, 750, 550), (6, 5460, 3420),
+    ])
+    def test_table_sizes(self, n, set_count, node_count):
+        # (X, Y, W) nonempty, Z free, out of five parts; (X, Y) nonempty
+        # and one node K of the rest, out of four parts
+        set_sites, node_sites = _sites(n)
+        assert len(set_sites) == set_count == 5**n - 3 * 4**n + 3 * 3**n - 2**n
+        assert len(node_sites) == node_count == \
+            n * (4**(n - 1) - 2 * 3**(n - 1) + 2**(n - 1))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_keys_decode_to_disjoint_masks(self, n):
+        set_sites, node_sites = _sites(n)
+        full = (1 << n) - 1
+        seen: dict[int, int] = {}
+        for key in (k for site in set_sites + node_sites for k in site):
+            x, y, z = key & full, key >> n & full, key >> 2 * n
+            assert x and y and key < 1 << 3 * n
+            assert not (x & y or x & z or y & z)
+            # equal keys are one interned int object
+            assert seen.setdefault(key, id(key)) == id(key)
 
 
 def first_rule_histogram(reverse: bool) -> dict[str, int]:

@@ -25,7 +25,7 @@ from oracles import (
     cov_independent_by_separation,
     sep_bruteforce,
 )
-from strategies import chain_graphs, ugs
+from strategies import chain_graphs, dags, mixed_graphs, ugs
 
 COV = GraphKind.COVARIANCE
 CONC = GraphKind.CONCENTRATION
@@ -206,6 +206,29 @@ class TestAllIndependencies:
         g = MixedGraph.ug("ABCDEFGHI")
         with pytest.raises(SizeLimitError):
             all_independencies(g, COV)
+
+    @given(st.one_of(ugs(1, 4), dags(1, 4), chain_graphs(1, 4), mixed_graphs(1, 4)))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_triple_criterion(self, g):
+        # the table checks the reading once, then skips the per-triple
+        # checks: each reading must give what `ci_independent` gives on
+        # every canonical triple, and a reading g does not admit must
+        # still be refused
+        for kind in GraphKind:
+            try:
+                want = [t for t in canonical_triples(g.n)
+                        if ci_independent(g, kind, t.x, t.y, t.z)]
+            except ValueError:
+                with pytest.raises(ValueError):
+                    all_independencies(g, kind)
+            else:
+                assert all_independencies(g, kind) == want
+
+    def test_wrong_reading_is_refused(self):
+        with pytest.raises(ValueError, match="dag reading"):
+            all_independencies(cycle4(), GraphKind.DAG)
+        with pytest.raises(ValueError, match="covariance reading"):
+            all_independencies(MixedGraph.dag("AB", [("A", "B")]), COV)
 
 
 def _split_masks(n, states):
