@@ -130,16 +130,21 @@ def _cmd_closure(args) -> int:
     return EXIT_HOLDS
 
 
-def _explain_payload(state, t: CITriple, labels) -> dict:
-    d = state.provenance[t]
-    return {
-        "statement": t.render(labels),
-        "rule": d.rule,
-        "independencies": [ind.render(labels) for ind in d.independencies],
-        "antecedents": [
-            _explain_payload(state, dep, labels) for dep in d.dependencies
-        ],
-    }
+def _explain_payload(state, t: CITriple, memo: dict) -> dict:
+    # One dict per statement, shared by every tree that contains it;
+    # json.dumps writes a shared dict out in full at each place.
+    node = memo.get(t)
+    if node is None:
+        names = state.set_names
+        d = state.provenance[t]
+        node = memo[t] = {
+            "statement": f"{names[t.x]} ; {names[t.y]} ; {names[t.z]}",
+            "rule": d.rule,
+            "independencies": [f"{names[i.x]} ; {names[i.y]} ; {names[i.z]}"
+                               for i in d.independencies],
+            "antecedents": [_explain_payload(state, dep, memo) for dep in d.dependencies],
+        }
+    return node
 
 
 def _cmd_explain(args) -> int:
@@ -147,9 +152,8 @@ def _cmd_explain(args) -> int:
     state = saturate(g)
     x, y, z = _resolve(g, args)
     triple = CITriple(x, y, z)
-    tree = explain(state, triple)
-    payload = {"command": "explain",
-               "tree": _explain_payload(state, triple, g.labels)}
+    tree = explain(state, triple)  # raises for an absent statement, fills set_names
+    payload = {"command": "explain", "tree": _explain_payload(state, triple, {})}
     _emit(args, payload, tree)
     return EXIT_HOLDS
 
