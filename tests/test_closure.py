@@ -25,7 +25,8 @@ from covgraph import (
 from covgraph.closure import RULES, RULE_BASE, RULE_WEAK_TRANSITIVITY1, _sites
 from covgraph.smallgraphs import all_ugs, random_ug
 from covgraph.verify import _closure_matches
-from oracles import naive_explain, naive_saturate
+from closure_oracles import naive_saturate
+from oracles import naive_explain
 
 COV = GraphKind.COVARIANCE
 
