@@ -39,7 +39,6 @@ from .closure import (
     Derivation,
     NotEstablishedError,
     explain,
-    replay_provenance,
     saturate,
 )
 from .gaussian import (
@@ -51,18 +50,17 @@ from .gaussian import (
     covariance_graph_of,
     det,
     dump_model,
-    faithfulness_report,
     nd_dimension,
     sample_markov_gaussian,
     trial_seed,
 )
-from .transforms import (
-    LatentDag,
-    is_forest,
-    latent_dag,
+from .transforms import LatentDag, is_forest, latent_dag
+from .verify import (
+    Report,
+    faithfulness_report,
+    replay_provenance,
     verify_forest_faithfulness,
     verify_latent_equivalence,
 )
-from .report import Report
 
 __version__ = "0.1.0"

@@ -18,9 +18,7 @@ from typing import Sequence
 from .closure import explain, saturate
 from .gaussian import (
     DEFAULT_TOL,
-    MIN_FAITHFUL_FRACTION,
     dump_model,
-    faithfulness_report,
     nd_dimension,
     require_tolerance,
     sample_markov_gaussian,
@@ -30,7 +28,9 @@ from .separation import CITriple, ci_independent
 from .connection import DEPENDENCE_WITNESSES
 from .transforms import latent_dag
 from .verify import (
+    MIN_FAITHFUL_FRACTION,
     corollaries_sweep,
+    faithfulness_report,
     forest_sweep,
     full_verification,
     latent_sweep,

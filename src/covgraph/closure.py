@@ -17,8 +17,7 @@ from functools import lru_cache
 
 from .graphs import (GraphKind, MixedGraph, SizeLimitError, bit, disjoint_splits,
                      format_nodeset, iter_nodes)
-from .report import Report
-from .separation import CITriple, all_independencies, ci_independent
+from .separation import CITriple, all_independencies
 
 RULE_BASE = "base"
 RULE_SYMMETRY = "symmetry"  # absorbed by storing both orders of X and Y
@@ -211,25 +210,3 @@ def _tree(state: ClosureState, t: CITriple) -> str:
         lines += ["  " + _tree(state, dep).replace("\n", "\n  ") for dep in d.dependencies]
         text = state.trees[t] = "\n".join(lines)
     return text
-
-
-def replay_provenance(state: ClosureState) -> Report:
-    """Re-check every recorded derivation: dependence antecedents must be
-    established and independence antecedents certified by the criterion."""
-    g = state.graph
-    report = Report("provenance-replay")
-    for t, d in state.provenance.items():
-        report.checked += 1
-        if d.rule not in RULES:
-            report.add_violation(f"{t.render(g.labels)}: unknown rule {d.rule}")
-        for dep in d.dependencies:
-            if dep not in state.established:
-                report.add_violation(
-                    f"{t.render(g.labels)}: antecedent {dep.render(g.labels)} missing"
-                )
-        for ind in d.independencies:
-            if not ci_independent(g, GraphKind.COVARIANCE, ind.x, ind.y, ind.z):
-                report.add_violation(
-                    f"{t.render(g.labels)}: {ind.render(g.labels)} not graph-certified"
-                )
-    return report

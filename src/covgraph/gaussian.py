@@ -16,20 +16,9 @@ from dataclasses import dataclass
 from math import inf, sqrt
 from typing import Optional, Sequence
 
-from .graphs import (
-    GraphKind,
-    MixedGraph,
-    NodeSet,
-    SizeLimitError,
-    bit,
-    iter_nodes,
-    submasks,
-)
-from .separation import ci_independent
+from .graphs import MixedGraph, NodeSet, bit, iter_nodes
 
 DEFAULT_TOL = 1e-9
-MAX_FAITHFULNESS_NODES = 6
-MIN_FAITHFUL_FRACTION = 0.95  # share of trials that must be faithful
 
 
 def det(rows: Sequence[Sequence[float]]) -> float:
@@ -201,70 +190,6 @@ def concentration_graph_of(
 ) -> MixedGraph:
     """UG joining exactly the pairs dependent given all remaining nodes."""
     return _graph_of(model, tol, labels, (1 << model.n) - 1)
-
-
-@dataclass
-class FaithfulnessReport:
-    nodes: int
-    trials: int
-    mismatches_per_trial: list[int]
-
-    @property
-    def faithful_trials(self) -> int:
-        return sum(1 for m in self.mismatches_per_trial if m == 0)
-
-    @property
-    def faithful_fraction(self) -> float:
-        return self.faithful_trials / self.trials
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "trials": self.trials,
-            "faithful_trials": self.faithful_trials,
-            "faithful_fraction": self.faithful_fraction,
-            "mismatches_per_trial": list(self.mismatches_per_trial),
-        }
-
-
-def pair_verdicts(g: MixedGraph) -> list[tuple[int, int, NodeSet, bool]]:
-    """(i, j, K, verdict) for every pair i < j and every K avoiding both,
-    where verdict is the covariance criterion on i independent of j given
-    K: the table a model's determinant tests are compared against."""
-    table = []
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            rest = g.full_mask & ~bit(i) & ~bit(j)
-            for k in submasks(rest):
-                verdict = ci_independent(g, GraphKind.COVARIANCE, bit(i), bit(j), k)
-                table.append((i, j, k, verdict))
-    return table
-
-
-def faithfulness_report(
-    g: MixedGraph,
-    trials: int,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> FaithfulnessReport:
-    """Sample `trials` models and compare the determinant test against the
-    covariance-graph criterion over every (i, j, K)."""
-    if g.n > MAX_FAITHFULNESS_NODES:
-        raise SizeLimitError(
-            f"faithfulness sweep limited to {MAX_FAITHFULNESS_NODES} nodes")
-    if trials < 1:
-        raise ValueError("at least one trial required")
-    require_tolerance(tol)
-    expected = pair_verdicts(g)
-    mismatches = []
-    for t in range(trials):
-        model = sample_markov_gaussian(g, trial_seed(seed, t))
-        bad = 0
-        for i, j, k, verdict in expected:
-            if ci_test(model, i, j, k, tol) != verdict:
-                bad += 1
-        mismatches.append(bad)
-    return FaithfulnessReport(g.n, trials, mismatches)
 
 
 def dump_model(model: GaussianModel) -> str:

@@ -1,4 +1,5 @@
-"""Verification sweeps over small graphs.
+"""Per-graph checks of the paper's guarantees, and sweeps running them
+over small graphs.
 
 Each sweep returns a JSON-serializable dict with a `passed` flag and
 deterministic content for a given seed, so reports are reproducible
@@ -8,30 +9,164 @@ byte for byte.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
+from typing import Iterator
 
-from .closure import MAX_CLOSURE_NODES, saturate
-from .connection import all_dependencies
-from .gaussian import (
-    DEFAULT_TOL,
-    MAX_FAITHFULNESS_NODES,
-    MIN_FAITHFUL_FRACTION,
-    ci_test,
-    concentration_graph_of,
-    covariance_graph_of,
-    pair_verdicts,
-    sample_markov_gaussian,
-    trial_seed,
-)
-from .graphs import GraphKind, MixedGraph, connectivity_components
+from .closure import MAX_CLOSURE_NODES, RULES, ClosureState, saturate
+from .connection import all_dependencies, cov_dependent
+from .gaussian import (DEFAULT_TOL, GaussianModel, ci_test, concentration_graph_of,
+                       covariance_graph_of, require_tolerance, sample_markov_gaussian,
+                       trial_seed)
+from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit,
+                     connectivity_components, submasks)
+from .separation import canonical_triples, ci_independent, sep
 from .smallgraphs import all_forests, all_ugs, connected_ugs, random_ug
-from .transforms import (
-    MAX_FOREST_NODES,
-    MAX_LATENT_NODES,
-    verify_forest_faithfulness,
-    verify_latent_equivalence,
-)
+from .transforms import is_forest, latent_dag
 
+MAX_LATENT_NODES = 5
+MAX_FOREST_NODES = 6
+MAX_FAITHFULNESS_NODES = 6
+MIN_FAITHFUL_FRACTION = 0.95  # share of trials that must be faithful
 MAX_FAILURES_KEPT = 20
+
+
+@dataclass
+class Report:
+    """Outcome of one per-graph check: items checked and violations found."""
+
+    checked: int = 0
+    violations: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+def replay_provenance(state: ClosureState) -> Report:
+    """Re-check every recorded derivation: dependence antecedents must be
+    established and independence antecedents certified by the criterion."""
+    g = state.graph
+    report = Report()
+    for t, d in state.provenance.items():
+        report.checked += 1
+        if d.rule not in RULES:
+            report.violations.append(f"{t.render(g.labels)}: unknown rule {d.rule}")
+        for dep in d.dependencies:
+            if dep not in state.established:
+                report.violations.append(
+                    f"{t.render(g.labels)}: antecedent {dep.render(g.labels)} missing"
+                )
+        for ind in d.independencies:
+            if not ci_independent(g, GraphKind.COVARIANCE, ind.x, ind.y, ind.z):
+                report.violations.append(
+                    f"{t.render(g.labels)}: {ind.render(g.labels)} not graph-certified"
+                )
+    return report
+
+
+def verify_latent_equivalence(g: MixedGraph, max_nodes: int = MAX_LATENT_NODES) -> Report:
+    """Check that d-separation in the latent DAG agrees with the
+    covariance criterion on every canonical triple over original nodes."""
+    if g.n > max_nodes:
+        raise SizeLimitError(f"equivalence sweep limited to {max_nodes} nodes")
+    h = latent_dag(g)
+    report = Report()
+    for t in canonical_triples(g.n):
+        report.checked += 1
+        on_graph = ci_independent(g, GraphKind.COVARIANCE, t.x, t.y, t.z)
+        on_dag = sep(h.dag, t.x, t.y, t.z)
+        if on_graph != on_dag:
+            report.violations.append(
+                f"{t.render(g.labels)}: criterion={on_graph} latent-dag={on_dag}"
+            )
+    return report
+
+
+def verify_forest_faithfulness(g: MixedGraph, max_nodes: int = MAX_FOREST_NODES) -> Report:
+    """On forests the dependence criterion must be the exact complement of
+    the independence criterion."""
+    if not is_forest(g):
+        raise ValueError("graph is not a forest")
+    if g.n > max_nodes:
+        raise SizeLimitError(f"forest sweep limited to {max_nodes} nodes")
+    report = Report()
+    for t in canonical_triples(g.n):
+        report.checked += 1
+        dep = cov_dependent(g, t.x, t.y, t.z)
+        ind = ci_independent(g, GraphKind.COVARIANCE, t.x, t.y, t.z)
+        if dep == ind:
+            report.violations.append(
+                f"{t.render(g.labels)}: dependent={dep} independent={ind}"
+            )
+    return report
+
+
+@dataclass
+class FaithfulnessReport:
+    nodes: int
+    trials: int
+    mismatches_per_trial: list[int]
+
+    @property
+    def faithful_trials(self) -> int:
+        return sum(1 for m in self.mismatches_per_trial if m == 0)
+
+    @property
+    def faithful_fraction(self) -> float:
+        return self.faithful_trials / self.trials
+
+    def to_dict(self) -> dict:
+        return {
+            "nodes": self.nodes,
+            "trials": self.trials,
+            "faithful_trials": self.faithful_trials,
+            "faithful_fraction": self.faithful_fraction,
+            "mismatches_per_trial": list(self.mismatches_per_trial),
+        }
+
+
+def pair_verdicts(g: MixedGraph) -> list[tuple[int, int, NodeSet, bool]]:
+    """(i, j, K, verdict) for every pair i < j and every K avoiding both,
+    where verdict is the covariance criterion on i independent of j given
+    K: the table a model's determinant tests are compared against."""
+    table = []
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            rest = g.full_mask & ~bit(i) & ~bit(j)
+            for k in submasks(rest):
+                verdict = ci_independent(g, GraphKind.COVARIANCE, bit(i), bit(j), k)
+                table.append((i, j, k, verdict))
+    return table
+
+
+def _trials(
+    g: MixedGraph, trials: int, seed: int, tol: float
+) -> Iterator[tuple[GaussianModel, int]]:
+    """For each trial, the sampled model and the number of (i, j, K) on
+    which its determinant test disagrees with the covariance criterion."""
+    expected = pair_verdicts(g)
+    for t in range(trials):
+        model = sample_markov_gaussian(g, trial_seed(seed, t))
+        yield model, sum(1 for i, j, k, verdict in expected
+                         if ci_test(model, i, j, k, tol) != verdict)
+
+
+def faithfulness_report(
+    g: MixedGraph,
+    trials: int,
+    seed: int = 0,
+    tol: float = DEFAULT_TOL,
+) -> FaithfulnessReport:
+    """Sample `trials` models and compare the determinant test against the
+    covariance-graph criterion over every (i, j, K)."""
+    if g.n > MAX_FAITHFULNESS_NODES:
+        raise SizeLimitError(
+            f"faithfulness sweep limited to {MAX_FAITHFULNESS_NODES} nodes")
+    if trials < 1:
+        raise ValueError("at least one trial required")
+    require_tolerance(tol)
+    mismatches = [bad for _model, bad in _trials(g, trials, seed, tol)]
+    return FaithfulnessReport(g.n, trials, mismatches)
 
 
 def _describe(g: MixedGraph) -> str:
@@ -176,19 +311,14 @@ def corollaries_sweep(
     tolerance_artifacts = 0
     below_threshold = 0
     min_fraction = 1.0
-    graph_index = 0
     for n in range(1, n_max + 1):
         for g in connected_ugs(n):
+            base = seed + 7919 * graphs
             graphs += 1
-            base = seed + 7919 * graph_index
-            graph_index += 1
-            expected = pair_verdicts(g)
             faithful = 0
-            for t in range(trials):
+            for t, (model, bad) in enumerate(_trials(g, trials, base, tol)):
                 total_trials += 1
-                model = sample_markov_gaussian(g, trial_seed(base, t))
-                is_faithful = all(ci_test(model, i, j, k, tol) == verdict
-                                  for i, j, k, verdict in expected)
+                is_faithful = not bad
                 cov = covariance_graph_of(model, tol, g.labels)
                 conc = concentration_graph_of(model, tol, g.labels)
                 recovery_ok = (

@@ -1,9 +1,11 @@
-"""The tuple-keyed closure engine, the reference that the int-keyed
-`saturate` must match.
+"""The closure references: the tuple-keyed engine that the int-keyed
+`saturate` must match, and the plain recursive renderer that the
+memoized `explain` must match.
 
-It lives apart from `oracles.py` because the benchmark worker imports that
-module: compiling this engine there raised the worker's peak RSS on the
-`query` and `sweep` workloads, which never run it.
+They live apart from `oracles.py` because the benchmark worker imports that
+module: compiling the engine there raised the worker's peak RSS on the
+`query` and `sweep` workloads, which never run it, and no workload runs
+the renderer.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from covgraph import (
     Derivation,
     GraphKind,
     MixedGraph,
+    NotEstablishedError,
     SizeLimitError,
     all_independencies,
     bit,
@@ -118,3 +121,26 @@ def naive_saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
                                    (first, second), ((x, y, z | k),))
 
     return ClosureState(g, frozenset(provenance), provenance, sweeps)
+
+
+def naive_explain(state: ClosureState, triple: CITriple) -> str:
+    """Derivation tree of an established statement, re-rendered from
+    scratch on every call."""
+    if triple not in state.established:
+        raise NotEstablishedError(
+            f"{triple.render(state.graph.labels)} is not in the closure"
+        )
+    labels = state.graph.labels
+    lines: list[str] = []
+
+    def visit(t: CITriple, depth: int) -> None:
+        d = state.provenance[t]
+        pad = "  " * depth
+        lines.append(f"{pad}{t.render(labels)}  [{d.rule}]")
+        for ind in d.independencies:
+            lines.append(f"{pad}  {ind.render(labels)}  [independent by graph]")
+        for dep in d.dependencies:
+            visit(dep, depth + 1)
+
+    visit(triple, 0)
+    return "\n".join(lines)

@@ -2,14 +2,13 @@
 
 Everything here works on plain edge lists and python sets, enumerating
 paths explicitly, so none of the package's bitmask machinery is reused.
-The exceptions are `cov_independent_by_separation`, which cross-checks two
-routes through the package against each other, and `naive_explain`, the
-plain recursive renderer that the memoized `explain` must match.
+The exception is `cov_independent_by_separation`, which cross-checks two
+routes through the package against each other.
 """
 
 from __future__ import annotations
 
-from covgraph import CITriple, ClosureState, MixedGraph, NotEstablishedError, sep
+from covgraph import MixedGraph, sep
 
 
 def mask_of(nodes) -> int:
@@ -240,26 +239,3 @@ def inverse_adjugate(rows) -> list[list[float]]:
                      for r in range(n) if r != j]
             out[i][j] = ((-1.0) ** (i + j)) * det_cofactor(minor) / d
     return out
-
-
-def naive_explain(state: ClosureState, triple: CITriple) -> str:
-    """Derivation tree of an established statement, re-rendered from
-    scratch on every call."""
-    if triple not in state.established:
-        raise NotEstablishedError(
-            f"{triple.render(state.graph.labels)} is not in the closure"
-        )
-    labels = state.graph.labels
-    lines: list[str] = []
-
-    def visit(t: CITriple, depth: int) -> None:
-        d = state.provenance[t]
-        pad = "  " * depth
-        lines.append(f"{pad}{t.render(labels)}  [{d.rule}]")
-        for ind in d.independencies:
-            lines.append(f"{pad}  {ind.render(labels)}  [independent by graph]")
-        for dep in d.dependencies:
-            visit(dep, depth + 1)
-
-    visit(triple, 0)
-    return "\n".join(lines)

@@ -239,6 +239,27 @@ class TestVerifyCommands:
         assert parts["theorems"]["random_graphs"] == 3
         assert parts["corollaries"]["trials"] == 7
 
+    def test_all_caps_each_sweep_size(self, monkeypatch):
+        # the sizes `--scope all` runs decide how long it takes
+        import covgraph.verify as verify
+        scopes = ("theorems", "latent", "forest", "corollaries")
+        received = []
+
+        def fake(scope):
+            def sweep(n_max, *rest):
+                received.append((scope, n_max))
+                return {"passed": True}
+            return sweep
+
+        for scope in scopes:
+            monkeypatch.setattr(verify, f"{scope}_sweep", fake(scope))
+        for n_max in range(1, 7):
+            verify.full_verification(n_max)
+        # the n_max each of `scopes` receives, for n_max = 1..6
+        sizes = [(1, 1, 2, 1), (2, 2, 3, 2), (3, 3, 4, 3),
+                 (4, 4, 5, 4), (5, 5, 6, 5), (6, 5, 6, 5)]
+        assert received == [pair for row in sizes for pair in zip(scopes, row)]
+
     def test_graphs_needs_scope_all(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--scope", "theorems",
                                         "--graphs", "3"])

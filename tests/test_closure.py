@@ -25,8 +25,7 @@ from covgraph import (
 from covgraph.closure import RULES, RULE_BASE, RULE_WEAK_TRANSITIVITY1, _sites
 from covgraph.smallgraphs import all_ugs, random_ug
 from covgraph.verify import _closure_matches
-from closure_oracles import naive_saturate
-from oracles import naive_explain
+from closure_oracles import naive_explain, naive_saturate
 
 COV = GraphKind.COVARIANCE
 

@@ -30,7 +30,7 @@ from covgraph import (
     submasks,
     trial_seed,
 )
-from covgraph.gaussian import pair_verdicts
+from covgraph.verify import pair_verdicts
 from covgraph.smallgraphs import random_ug
 from oracles import det_cofactor, inverse_adjugate
 

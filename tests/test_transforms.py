@@ -68,9 +68,16 @@ class TestLatentDag:
             latent_dag(g)
 
     def test_capacity_guard(self):
+        # a 33-node path needs 33 + 32 = 65 nodes
         labels = tuple(f"N{i}" for i in range(33))
         with pytest.raises(SizeLimitError):
-            latent_dag(MixedGraph.ug(labels))
+            latent_dag(MixedGraph.ug(labels, zip(labels, labels[1:])))
+
+    def test_more_than_32_nodes_within_capacity(self):
+        labels = tuple(f"N{i}" for i in range(40))
+        ld = latent_dag(MixedGraph.ug(labels, [("N0", "N1")]))
+        assert ld.dag.n == 41
+        assert ld.latents == ((0, 1, 40),)
 
     def test_requires_ug(self):
         with pytest.raises(ValueError):
