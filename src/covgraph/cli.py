@@ -55,10 +55,7 @@ def _labels_arg(value: str | None) -> list[str]:
 
 
 def _resolve(g: MixedGraph, args) -> tuple[int, int, int]:
-    x = g.node_set(_labels_arg(args.X))
-    y = g.node_set(_labels_arg(args.Y))
-    z = g.node_set(_labels_arg(args.Z))
-    return x, y, z
+    return tuple(g.node_set(_labels_arg(s)) for s in (args.X, args.Y, args.Z))
 
 
 def _label_list(g: MixedGraph, mask: int) -> list[str]:
@@ -152,7 +149,7 @@ def _cmd_explain(args) -> int:
     state = saturate(g)
     x, y, z = _resolve(g, args)
     triple = CITriple(x, y, z)
-    tree = explain(state, triple)  # raises for an absent statement, fills set_names
+    tree = explain(state, triple)  # raises for an absent statement
     payload = {"command": "explain", "tree": _explain_payload(state, triple, {})}
     _emit(args, payload, tree)
     return EXIT_HOLDS
@@ -279,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("dep", help="dependence verdict with witness path")
     _add_common(p, sets=True)
     p.add_argument("--kind", default="covariance",
-                   choices=["covariance", "concentration"])
+                   choices=[k.value for k in DEPENDENCE_WITNESSES])
     p.set_defaults(func=_cmd_dep)
 
     p = subs.add_parser("closure", help="all derivable dependencies")

@@ -13,7 +13,7 @@ per statement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .graphs import (GraphKind, MixedGraph, SizeLimitError, bit, disjoint_splits,
                      format_nodeset, iter_nodes)
@@ -63,10 +63,13 @@ class ClosureState:
     established: frozenset[CITriple]
     provenance: dict[CITriple, Derivation]
     sweeps: int
-    # Filled by `explain`: the rendered derivation tree of each statement
-    # explained so far, and the name of every node set of the graph.
+    # Filled by `explain`: the rendered tree of each statement explained so far.
     trees: dict[CITriple, str] = field(default_factory=dict, init=False, repr=False, compare=False)
-    set_names: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
+
+    @cached_property
+    def set_names(self) -> tuple[str, ...]:
+        """The name of every node set of the graph, indexed by mask."""
+        return tuple(format_nodeset(m, self.graph.labels) for m in range(1 << self.graph.n))
 
     def sorted_statements(self) -> list[CITriple]:
         return sorted(self.established, key=CITriple.sort_key)
@@ -190,9 +193,6 @@ def explain(state: ClosureState, triple: CITriple) -> str:
         raise NotEstablishedError(
             f"{triple.render(state.graph.labels)} is not in the closure"
         )
-    if not state.set_names:
-        labels = state.graph.labels
-        state.set_names = tuple(format_nodeset(m, labels) for m in range(1 << state.graph.n))
     return _tree(state, triple)
 
 

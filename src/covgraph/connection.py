@@ -106,9 +106,9 @@ def conc_dependence_witness(
     """Concentration-graph dependence, con(X, Y | Z): the unique simple
     path for the first pair A in X, B in Y with exactly one path avoiding
     (X|Y|Z) \\ {A, B}."""
+    check_triple(g, x, y, z)
     if not g.is_undirected_graph:
         raise ValueError("concentration reading requires an undirected graph")
-    check_triple(g, x, y, z)
     return _first_unique_path(g, x, y, g.full_mask & ~(x | y | z))
 
 

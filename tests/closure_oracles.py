@@ -1,11 +1,11 @@
 """The closure references: the tuple-keyed engine that the int-keyed
-`saturate` must match, and the plain recursive renderer that the
-memoized `explain` must match.
+`saturate` must match, and the plain recursive renderers that the
+memoized `explain` and `explain --json` must match.
 
 They live apart from `oracles.py` because the benchmark worker imports that
 module: compiling the engine there raised the worker's peak RSS on the
 `query` and `sweep` workloads, which never run it, and no workload runs
-the renderer.
+the renderers.
 """
 
 from __future__ import annotations
@@ -144,3 +144,24 @@ def naive_explain(state: ClosureState, triple: CITriple) -> str:
 
     visit(triple, 0)
     return "\n".join(lines)
+
+
+def naive_explain_json(state: ClosureState, triple: CITriple) -> dict:
+    """The `explain --json` tree of an established statement, rebuilt
+    from scratch on every call."""
+    if triple not in state.established:
+        raise NotEstablishedError(
+            f"{triple.render(state.graph.labels)} is not in the closure"
+        )
+    labels = state.graph.labels
+
+    def node(t: CITriple) -> dict:
+        d = state.provenance[t]
+        return {
+            "statement": t.render(labels),
+            "rule": d.rule,
+            "independencies": [i.render(labels) for i in d.independencies],
+            "antecedents": [node(dep) for dep in d.dependencies],
+        }
+
+    return node(triple)

@@ -3,13 +3,16 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from covgraph import format_graph, parse_graph
-from covgraph.cli import main
+from closure_oracles import naive_explain_json
+from covgraph import format_graph, parse_graph, saturate
+from covgraph.cli import _explain_payload, main
+from covgraph.smallgraphs import all_ugs, random_ug
 from strategies import dead_end_clique
 
 CYCLE4 = "A -- B\nB -- C\nC -- D\nD -- A\n"
@@ -154,6 +157,19 @@ class TestClosureCommands:
                                         "-X", "A", "-Y", "C"])
         assert code == 2
         assert err == "error: A ; C ; - is not in the closure\n"
+
+    def test_explain_json_matches_naive_payload(self):
+        """Every statement of every labeled UG of up to 4 nodes and of
+        seeded random 5- and 6-node UGs, on a state no text `explain` has
+        touched, gives the tree that `naive_explain_json` makes from scratch."""
+        rng = random.Random(20261018)
+        graphs = [g for n in range(1, 5) for g in all_ugs(n)]
+        graphs += [random_ug(5, rng) for _ in range(10)]
+        graphs += [random_ug(6, rng) for _ in range(4)]
+        for g in graphs:
+            state = saturate(g)
+            for t in state.sorted_statements():
+                assert _explain_payload(state, t, {}) == naive_explain_json(state, t)
 
 
 PENTAGON_CHORD = "A -- B\nB -- C\nC -- D\nD -- E\nE -- A\nA -- C\n"

@@ -157,6 +157,16 @@ class TestCon:
         w = conc_dependence_witness(triangle(), bit(0), bit(2), bit(1))
         assert w is not None and w.nodes == (0, 2)
 
+    def test_triple_error_before_reading_error(self):
+        # both readings reject a bad triple before they look at the graph
+        g = MixedGraph.dag("AB", [("A", "B")])
+        errors = []
+        for witness in (cov_dependence_witness, conc_dependence_witness):
+            with pytest.raises(ValueError) as exc:
+                witness(g, bit(0), bit(1), bit(0))
+            errors.append(str(exc.value))
+        assert errors == ["X, Y, Z must be pairwise disjoint"] * 2
+
 
 class TestCovDependence:
     def test_four_cycle_single_conditioners(self):

@@ -3,11 +3,13 @@
 import pytest
 
 from covgraph import (
+    CITriple,
     GraphKind,
     MixedGraph,
     SizeLimitError,
     ancestors,
     bit,
+    canonical_triples,
     is_chain_graph,
     is_forest,
     latent_dag,
@@ -15,6 +17,7 @@ from covgraph import (
     verify_forest_faithfulness,
     verify_latent_equivalence,
 )
+import covgraph.verify
 from covgraph.connection import _unique_path
 from covgraph.smallgraphs import all_forests, all_ugs
 from oracles import count_paths_bruteforce
@@ -24,6 +27,22 @@ COV = GraphKind.COVARIANCE
 
 def cycle4():
     return MixedGraph.ug("ABCD", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
+
+
+def path3():
+    return MixedGraph.ug("ABC", [("A", "B"), ("B", "C")])
+
+
+@pytest.fixture
+def drop_a_c_marginal(monkeypatch):
+    """Make the covariance independence table the checks read miss
+    A ; C ; - on the path A - B - C."""
+    full = covgraph.verify.all_independencies
+
+    def table(g, kind):
+        return [t for t in full(g, kind) if t != CITriple(bit(0), bit(2))]
+
+    monkeypatch.setattr(covgraph.verify, "all_independencies", table)
 
 
 class TestLatentDag:
@@ -90,8 +109,7 @@ class TestLatentEquivalence:
         assert report.passed and report.checked == 55
 
     def test_path_specific_triples(self):
-        g = MixedGraph.ug("ABC", [("A", "B"), ("B", "C")])
-        h = latent_dag(g).dag
+        h = latent_dag(path3()).dag
         assert sep(h, bit(0), bit(2), 0)
         assert not sep(h, bit(0), bit(2), bit(1))
 
@@ -106,6 +124,11 @@ class TestLatentEquivalence:
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             verify_latent_equivalence(MixedGraph.ug("ABCDEF"))
+
+    def test_reports_a_wrong_table_entry(self, drop_a_c_marginal):
+        report = verify_latent_equivalence(path3())
+        assert report.violations == ["A ; C ; -: criterion=False latent-dag=True"]
+        assert report.checked == len(canonical_triples(3))
 
 
 class TestForest:
@@ -149,3 +172,16 @@ class TestForestFaithfulness:
     def test_rejects_non_forest(self):
         with pytest.raises(ValueError, match="not a forest"):
             verify_forest_faithfulness(cycle4())
+
+    def test_reports_a_wrong_table_entry(self, drop_a_c_marginal):
+        report = verify_forest_faithfulness(path3())
+        assert report.violations == ["A ; C ; -: dependent=False independent=False"]
+        assert report.checked == len(canonical_triples(3))
+
+
+# The per-graph checks read the verdict tables, which stop at 8 nodes.
+@pytest.mark.parametrize("check", [verify_latent_equivalence, verify_forest_faithfulness])
+def test_checks_inherit_the_table_size_limit(check):
+    labels = tuple(f"N{i}" for i in range(9))
+    with pytest.raises(SizeLimitError):
+        check(MixedGraph.ug(labels, zip(labels, labels[1:])), max_nodes=9)
