@@ -153,13 +153,19 @@ def ci_test(
     if k & (bit(i) | bit(j)) or k >> n:
         raise ValueError("K must avoid i, j and stay inside the model")
     ks = list(iter_nodes(k))
-    rows_idx = [i, *ks]
-    cols_idx = [j, *ks]
-    sub = [[model.sigma[r][c] for c in cols_idx] for r in rows_idx]
+    return _vanishes(model.sigma, [i, *ks], [j, *ks], tol)
+
+
+def _vanishes(
+    sigma: Sequence[Sequence[float]], rows: Sequence[int], cols: Sequence[int], tol: float
+) -> bool:
+    """The determinant test of `ci_test` on sigma[rows, cols], without
+    argument checks: callers pass valid indices and a valid tolerance."""
+    sub = [[sigma[r][c] for c in cols] for r in rows]
     d = det(sub)
     scale = 1.0
     for row in sub:
-        scale *= max(abs(v) for v in row)
+        scale *= max(map(abs, row))
     return abs(d) <= tol * scale
 
 

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import ne
 from typing import Iterator
 
 from .closure import MAX_CLOSURE_NODES, RULES, ClosureState, saturate
 from .connection import all_dependencies
-from .gaussian import (DEFAULT_TOL, GaussianModel, ci_test, concentration_graph_of,
-                       covariance_graph_of, require_tolerance, sample_markov_gaussian,
+from .gaussian import (DEFAULT_TOL, _vanishes, require_tolerance, sample_markov_gaussian,
                        trial_seed)
 from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit,
-                     connectivity_components, submasks)
-from .separation import all_independencies, canonical_triples, ci_independent, sep
+                     connectivity_components, iter_nodes, submasks)
+from .separation import _separated, all_independencies, canonical_triples, ci_independent
 from .smallgraphs import all_forests, all_ugs, connected_ugs, random_ug
 from .transforms import is_forest, latent_dag
 
@@ -72,9 +72,10 @@ def verify_latent_equivalence(g: MixedGraph, max_nodes: int = MAX_LATENT_NODES) 
     h = latent_dag(g)
     independent = set(all_independencies(g, GraphKind.COVARIANCE))
     triples = canonical_triples(g.n)
+    moral: dict = {}
     violations = [
         f"{t.render(g.labels)}: criterion={t in independent} latent-dag={t not in independent}"
-        for t in triples if (t in independent) != sep(h.dag, t.x, t.y, t.z)
+        for t in triples if (t in independent) != _separated(h.dag, t.x, t.y, t.z, moral)
     ]
     return Report(len(triples), violations)
 
@@ -124,26 +125,29 @@ def pair_verdicts(g: MixedGraph) -> list[tuple[int, int, NodeSet, bool]]:
     """(i, j, K, verdict) for every pair i < j and every K avoiding both,
     where verdict is the covariance criterion on i independent of j given
     K: the table a model's determinant tests are compared against."""
-    table = []
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            rest = g.full_mask & ~bit(i) & ~bit(j)
-            for k in submasks(rest):
-                verdict = ci_independent(g, GraphKind.COVARIANCE, bit(i), bit(j), k)
-                table.append((i, j, k, verdict))
-    return table
+    independent = {(t.x, t.y, t.z) for t in all_independencies(g, GraphKind.COVARIANCE)}
+    return [(i, j, k, (bit(i), bit(j), k) in independent)
+            for i in range(g.n)
+            for j in range(i + 1, g.n)
+            for k in submasks(g.full_mask & ~bit(i) & ~bit(j))]
 
 
 def _trials(
-    g: MixedGraph, trials: int, seed: int, tol: float
-) -> Iterator[tuple[GaussianModel, int]]:
-    """For each trial, the sampled model and the number of (i, j, K) on
-    which its determinant test disagrees with the covariance criterion."""
-    expected = pair_verdicts(g)
+    g: MixedGraph, table: list[tuple[int, int, NodeSet, bool]],
+    trials: int, seed: int, tol: float,
+) -> Iterator[tuple[list[bool], int]]:
+    """For each trial, the determinant verdict on every (i, j, K) of
+    `table` (the `pair_verdicts` of g), in table order, and the number of
+    them that disagree with the covariance criterion."""
+    plan = []
+    for i, j, k, _verdict in table:
+        ks = list(iter_nodes(k))
+        plan.append(([i, *ks], [j, *ks]))
+    expected = [verdict for _i, _j, _k, verdict in table]
     for t in range(trials):
-        model = sample_markov_gaussian(g, trial_seed(seed, t))
-        yield model, sum(1 for i, j, k, verdict in expected
-                         if ci_test(model, i, j, k, tol) != verdict)
+        sigma = sample_markov_gaussian(g, trial_seed(seed, t)).sigma
+        row = [_vanishes(sigma, rows, cols, tol) for rows, cols in plan]
+        yield row, sum(map(ne, row, expected))
 
 
 def faithfulness_report(
@@ -160,7 +164,7 @@ def faithfulness_report(
     if trials < 1:
         raise ValueError("at least one trial required")
     require_tolerance(tol)
-    mismatches = [bad for _model, bad in _trials(g, trials, seed, tol)]
+    mismatches = [bad for _row, bad in _trials(g, pair_verdicts(g), trials, seed, tol)]
     return FaithfulnessReport(g.n, trials, mismatches)
 
 
@@ -261,6 +265,24 @@ def forest_sweep(n_max: int = 6) -> dict:
                             verify_forest_faithfulness)
 
 
+def _entries_given(
+    table: list[tuple[int, int, NodeSet, bool]], given: NodeSet
+) -> list[tuple[int, int, int]]:
+    """(position, i, j) of each entry of `table` whose K is `given` minus
+    i, j."""
+    return [(p, i, j) for p, (i, j, k, _v) in enumerate(table)
+            if k == given & ~bit(i) & ~bit(j)]
+
+
+def _recovered(g: MixedGraph, row: list[bool], entries: list[tuple[int, int, int]]) -> MixedGraph:
+    """UG joining each pair i, j of `entries` whose determinant verdict in
+    the trial row is dependence.  On `_entries_given(table, 0)` this is the
+    trial model's `covariance_graph_of`, and on `_entries_given(table,
+    g.full_mask)` its `concentration_graph_of`."""
+    edges = frozenset((i, j) for p, i, j in entries if not row[p])
+    return MixedGraph(g.n, g.labels, edges, frozenset())
+
+
 def _edges_within(g: MixedGraph, mask: int) -> int:
     return sum(
         1 for i, j in g.undirected if (mask >> i) & 1 and (mask >> j) & 1
@@ -298,6 +320,7 @@ def corollaries_sweep(
     _require_n_max("corollaries", n_max, MAX_FAITHFULNESS_NODES)
     if trials < 1:
         raise ValueError("at least one trial required")
+    require_tolerance(tol)
     failures: list[str] = []
     graphs = 0
     total_trials = 0
@@ -311,11 +334,14 @@ def corollaries_sweep(
             base = seed + 7919 * graphs
             graphs += 1
             faithful = 0
-            for t, (model, bad) in enumerate(_trials(g, trials, base, tol)):
+            table = pair_verdicts(g)
+            marginal = _entries_given(table, 0)
+            full = _entries_given(table, g.full_mask)
+            for t, (row, bad) in enumerate(_trials(g, table, trials, base, tol)):
                 total_trials += 1
                 is_faithful = not bad
-                cov = covariance_graph_of(model, tol, g.labels)
-                conc = concentration_graph_of(model, tol, g.labels)
+                cov = _recovered(g, row, marginal)
+                conc = _recovered(g, row, full)
                 recovery_ok = (
                     connectivity_components(cov) == connectivity_components(conc)
                     and _tree_dual_ok(cov, conc)

@@ -30,8 +30,9 @@ from covgraph import (
     submasks,
     trial_seed,
 )
-from covgraph.verify import pair_verdicts
-from covgraph.smallgraphs import random_ug
+from covgraph.verify import (_entries_given, _recovered, _trials, corollaries_sweep,
+                             pair_verdicts)
+from covgraph.smallgraphs import connected_ugs, random_ug
 from oracles import det_cofactor, inverse_adjugate
 
 COV = GraphKind.COVARIANCE
@@ -248,6 +249,40 @@ class TestPairVerdicts:
             assert verdict == ci_independent(g, COV, bit(i), bit(j), k)
 
 
+class TestTrialRows:
+    """Each trial's determinant verdicts are computed once, as a row over
+    the `pair_verdicts` table; the recovered graphs are read from it."""
+
+    @staticmethod
+    def _check_trial(g, table, seed, t, row, bad):
+        model = sample_markov_gaussian(g, trial_seed(seed, t))
+        assert row == [ci_test(model, i, j, k) for i, j, k, _v in table]
+        assert bad == sum(got != v for got, (_i, _j, _k, v) in zip(row, table))
+        assert _recovered(g, row, _entries_given(table, 0)) == \
+            covariance_graph_of(model, DEFAULT_TOL, g.labels)
+        assert _recovered(g, row, _entries_given(table, g.full_mask)) == \
+            concentration_graph_of(model, DEFAULT_TOL, g.labels)
+
+    def test_rows_match_checked_tests_exhaustive(self):
+        for n in range(1, 5):
+            for index, g in enumerate(connected_ugs(n)):
+                seed = 7919 * index
+                table = pair_verdicts(g)
+                for t, (row, bad) in enumerate(_trials(g, table, 5, seed, DEFAULT_TOL)):
+                    self._check_trial(g, table, seed, t, row, bad)
+
+    def test_rows_match_on_the_tolerance_artifact_trial(self):
+        # graph 78 of corollaries_sweep(5, 100, 0), trial 23: its one
+        # unfaithful trial, where a near-zero determinant flips a verdict
+        g = [g for n in range(1, 6) for g in connected_ugs(n)][78]
+        assert sorted(g.undirected) == [(0, 3), (1, 2), (1, 3), (1, 4)]
+        seed = 7919 * 78
+        table = pair_verdicts(g)
+        row, bad = list(_trials(g, table, 24, seed, DEFAULT_TOL))[23]
+        assert bad
+        self._check_trial(g, table, seed, 23, row, bad)
+
+
 class TestFaithfulness:
     def test_cycle_mostly_faithful(self):
         rep = faithfulness_report(cycle4(), trials=100, seed=0)
@@ -278,6 +313,13 @@ class TestFaithfulness:
             faithfulness_report(g, trials=1, tol=float("nan"))
         with pytest.raises(ValueError, match="tolerance"):
             covariance_graph_of(sample_markov_gaussian(g, 0), float("inf"), g.labels)
+
+    @pytest.mark.parametrize("n_max", [1, 3])
+    @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+    def test_sweep_tolerance_checked(self, tol, n_max):
+        # the sweep's trial loop runs the unchecked determinant kernel
+        with pytest.raises(ValueError, match="tolerance"):
+            corollaries_sweep(n_max, 1, 0, tol)
 
     def test_dependence_certified_numerically(self):
         # a graph-certified dependence should show up as a dependent pair

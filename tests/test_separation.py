@@ -1,7 +1,8 @@
 """Independence criteria: chain-graph separation and the covariance
 reading, checked against explicit path-enumeration oracles."""
 
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +18,17 @@ from covgraph import (
     canonical_triples,
     ci_independent,
     iter_nodes,
+    latent_dag,
     sep,
 )
-from covgraph.smallgraphs import all_ugs
+from covgraph.separation import _separated
+from covgraph.smallgraphs import all_ugs, default_labels
 from oracles import (
+    all_simple_paths,
     cov_independent_bruteforce,
     cov_independent_by_separation,
     sep_bruteforce,
+    und_neighbor_sets,
 )
 from strategies import chain_graphs, dags, mixed_graphs, ugs
 
@@ -123,6 +128,53 @@ class TestSep:
                     changed = True
         expect = not (reach & set(iter_nodes(y)))
         assert sep(g, x, y, z) == expect
+
+    def test_ug_fast_path_matches_path_enumeration_exhaustive(self):
+        # without arrows `_separated` walks the whole graph minus Z instead
+        # of the moral ancestral graph: every X-Y path must meet Z
+        for n in range(1, 6):
+            for g in all_ugs(n):
+                nbr = und_neighbor_sets(g)
+                for t in canonical_triples(n):
+                    x, y, z = (set(iter_nodes(m)) for m in (t.x, t.y, t.z))
+                    allowed = set(range(n)) - z
+                    expect = not any(all_simple_paths(nbr, a, b, allowed)
+                                     for a in x for b in y)
+                    assert _separated(g, t.x, t.y, t.z, {}) == expect
+                    assert ci_independent(g, CONC, t.x, t.y, t.z) == expect
+
+    def test_shared_cache_matches_one_shot_sep(self):
+        # one cache per graph, filled in canonical order, as the latent
+        # check and `all_independencies` use it; triples with one union
+        # share an entry
+        graphs = [(latent_dag(g).dag, n) for n in range(1, 5) for g in all_ugs(n)]
+        rng = random.Random(20261018)
+        graphs += [(h, h.n) for h in (random_chain_graph(rng) for _ in range(30))]
+        assert sum(1 for h, _n in graphs if h.directed) > 60
+        for h, n in graphs:
+            moral: dict = {}
+            triples = canonical_triples(n)
+            for t in triples:
+                assert _separated(h, t.x, t.y, t.z, moral) == sep(h, t.x, t.y, t.z)
+            if h.directed:
+                assert len(moral) == len({t.x | t.y | t.z for t in triples})
+
+
+def random_chain_graph(rng: random.Random) -> MixedGraph:
+    """Chain graph on 3-6 nodes drawn as `strategies.chain_graphs` draws
+    one: ordered blocks, undirected edges within a block, arrows from an
+    earlier block to a later one."""
+    n = rng.randint(3, 6)
+    block = [rng.randrange(n) for _ in range(n)]
+    und = set()
+    dire = set()
+    for i, j in combinations(range(n), 2):
+        if rng.random() < 0.5:
+            if block[i] == block[j]:
+                und.add((i, j))
+            else:
+                dire.add((i, j) if block[i] < block[j] else (j, i))
+    return MixedGraph(n, default_labels(n), frozenset(und), frozenset(dire))
 
 
 class TestCovarianceCriterion:
