@@ -21,7 +21,7 @@ from .graphs import (
     iter_nodes,
     reachable,
 )
-from .separation import MAX_SWEEP_NODES, CITriple, canonical_triples, check_triple
+from .separation import MAX_SWEEP_NODES, CITriple, canonical_triples, check_triple, require_kind
 
 
 @dataclass(frozen=True)
@@ -122,16 +122,41 @@ DEPENDENCE_WITNESSES = {
 }
 
 
+def _partners(adj: Sequence[NodeSet], through: NodeSet) -> list[NodeSet]:
+    """`reach[x]`, for each set x outside `through`: the nodes b outside it
+    that some a in x joins by exactly one simple path inside {a, b} | `through`.
+    The path is unique from both ends, so each pair is walked once."""
+    free = ((1 << len(adj)) - 1) & ~through
+    reach = [0] * (free + 1)
+    for a in iter_nodes(free):
+        for b in iter_nodes(free & -(2 << a)):
+            if _unique_path(adj, a, b, through | bit(a) | bit(b)) is not None:
+                reach[bit(a)] |= bit(b)
+                reach[bit(b)] |= bit(a)
+    x = 0
+    while x != free:
+        x = (x - free) & free  # the subsets of `free` in increasing order
+        low = x & -x
+        reach[x] = reach[x ^ low] | reach[low]
+    return reach
+
+
 def all_dependencies(g: MixedGraph, kind: GraphKind) -> list[CITriple]:
     """Every canonical triple the kind's dependence criterion marks
-    dependent, in deterministic order."""
+    dependent, in deterministic order, read from one `_partners` table per
+    `through` set: Z for covariance, V minus X|Y|Z for concentration."""
     if g.n > MAX_SWEEP_NODES:
         raise SizeLimitError(f"dependence sweep limited to {MAX_SWEEP_NODES} nodes")
-    witness = DEPENDENCE_WITNESSES.get(kind)
-    if witness is None:
+    if kind not in DEPENDENCE_WITNESSES:
         raise ValueError("dependence criteria exist for covariance and "
                          "concentration readings only")
-    return [
-        t for t in canonical_triples(g.n)
-        if witness(g, t.x, t.y, t.z) is not None
-    ]
+    require_kind(g, kind)
+    partners: dict[NodeSet, list[NodeSet]] = {}
+    out = []
+    for t in canonical_triples(g.n):
+        through = t.z if kind is GraphKind.COVARIANCE else g.full_mask & ~(t.x | t.y | t.z)
+        if through not in partners:
+            partners[through] = _partners(g.und_adj, through)
+        if partners[through][t.x] & t.y:
+            out.append(t)
+    return out

@@ -185,6 +185,11 @@ class MixedGraph:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     @cached_property
+    def back_adj(self) -> tuple[NodeSet, ...]:
+        """v's undirected neighbours and parents: `ancestors` walks these."""
+        return tuple(u | p for u, p in zip(self.und_adj, self.pa_adj))
+
+    @cached_property
     def is_cg(self) -> bool:
         return is_chain_graph(self)
 
@@ -277,8 +282,7 @@ def ancestors(g: MixedGraph, targets: NodeSet) -> NodeSet:
     directed steps, plus `targets` itself."""
     if targets & ~g.full_mask:
         raise ValueError("target set contains nodes outside the graph")
-    back = [u | p for u, p in zip(g.und_adj, g.pa_adj)]
-    return reachable(back, targets, g.full_mask)
+    return reachable(g.back_adj, targets, g.full_mask)
 
 
 def connectivity_components(g: MixedGraph) -> list[NodeSet]:

@@ -17,8 +17,8 @@ from .closure import MAX_CLOSURE_NODES, RULES, ClosureState, saturate
 from .connection import all_dependencies
 from .gaussian import (DEFAULT_TOL, _vanishes, require_tolerance, sample_markov_gaussian,
                        trial_seed)
-from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit,
-                     connectivity_components, iter_nodes, submasks)
+from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit, iter_nodes,
+                     reachable, submasks)
 from .separation import _separated, all_independencies, canonical_triples, ci_independent
 from .smallgraphs import all_forests, all_ugs, connected_ugs, random_ug
 from .transforms import is_forest, latent_dag
@@ -274,29 +274,35 @@ def _entries_given(
             if k == given & ~bit(i) & ~bit(j)]
 
 
-def _recovered(g: MixedGraph, row: list[bool], entries: list[tuple[int, int, int]]) -> MixedGraph:
-    """UG joining each pair i, j of `entries` whose determinant verdict in
-    the trial row is dependence.  On `_entries_given(table, 0)` this is the
-    trial model's `covariance_graph_of`, and on `_entries_given(table,
-    g.full_mask)` its `concentration_graph_of`."""
-    edges = frozenset((i, j) for p, i, j in entries if not row[p])
-    return MixedGraph(g.n, g.labels, edges, frozenset())
+def _recovered(n: int, row: list[bool], entries: list[tuple[int, int, int]]) -> list[NodeSet]:
+    """Adjacency masks joining each pair i, j of `entries` that the trial
+    row reads dependent: on `_entries_given(table, 0)` the trial model's
+    `covariance_graph_of`, on `_entries_given(table, full mask)` its
+    `concentration_graph_of`."""
+    adj = [0] * n
+    for p, i, j in entries:
+        if not row[p]:
+            adj[i] |= bit(j)
+            adj[j] |= bit(i)
+    return adj
 
 
-def _edges_within(g: MixedGraph, mask: int) -> int:
-    return sum(
-        1 for i, j in g.undirected if (mask >> i) & 1 and (mask >> j) & 1
-    )
-
-
-def _tree_dual_ok(a: MixedGraph, b: MixedGraph) -> bool:
-    """Every tree component of `a` must be complete in `b` (components are
-    assumed equal)."""
-    for comp in connectivity_components(a):
+def _recovery_ok(cov: list[NodeSet], conc: list[NodeSet]) -> bool:
+    """The recovered graphs (adjacency masks) share their components, and
+    each tree component of either is complete in the other."""
+    full = remaining = (1 << len(cov)) - 1
+    while remaining:
+        seed = remaining & -remaining
+        comp = reachable(cov, seed, full)
+        if reachable(conc, seed, full) != comp:
+            return False
+        remaining &= ~comp
+        # degree sums are twice the edge counts; if either graph has a
+        # tree's, the other must have the complete graph's
         size = comp.bit_count()
-        if _edges_within(a, comp) == size - 1:
-            if _edges_within(b, comp) != size * (size - 1) // 2:
-                return False
+        degrees = {sum(adj[v].bit_count() for v in iter_nodes(comp)) for adj in (cov, conc)}
+        if 2 * (size - 1) in degrees and degrees != {2 * (size - 1), size * (size - 1)}:
+            return False
     return True
 
 
@@ -340,13 +346,8 @@ def corollaries_sweep(
             for t, (row, bad) in enumerate(_trials(g, table, trials, base, tol)):
                 total_trials += 1
                 is_faithful = not bad
-                cov = _recovered(g, row, marginal)
-                conc = _recovered(g, row, full)
-                recovery_ok = (
-                    connectivity_components(cov) == connectivity_components(conc)
-                    and _tree_dual_ok(cov, conc)
-                    and _tree_dual_ok(conc, cov)
-                )
+                recovery_ok = _recovery_ok(_recovered(g.n, row, marginal),
+                                           _recovered(g.n, row, full))
                 if is_faithful:
                     faithful += 1
                     if not recovery_ok:

@@ -22,8 +22,9 @@ from covgraph import (
     cov_dependent,
     iter_nodes,
 )
-from covgraph.connection import _unique_path
-from covgraph.smallgraphs import all_ugs, random_ug
+from covgraph import connection
+from covgraph.connection import DEPENDENCE_WITNESSES, _unique_path
+from covgraph.smallgraphs import all_forests, all_ugs, random_ug
 from oracles import all_simple_paths, count_paths_bruteforce, mask_of, und_neighbor_sets
 from strategies import dead_end_clique, ugs
 
@@ -266,3 +267,61 @@ class TestAllDependencies:
     def test_kind_restriction(self):
         with pytest.raises(ValueError):
             all_dependencies(cycle4(), GraphKind.DAG)
+
+    @staticmethod
+    def _count_walks(monkeypatch) -> list[int]:
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return _unique_path(*args)
+
+        monkeypatch.setattr(connection, "_unique_path", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", [COV, CONC])
+    def test_reading_checked_before_any_walk(self, kind, monkeypatch):
+        calls = self._count_walks(monkeypatch)
+        chain = MixedGraph(3, ("A", "B", "C"), frozenset({(0, 1)}), frozenset({(1, 2)}))
+        for g in (MixedGraph.dag("AB", [("A", "B")]), chain):
+            with pytest.raises(ValueError) as exc:
+                all_dependencies(g, kind)
+            assert str(exc.value) == f"{kind.value} reading requires an undirected graph"
+            # the kind is refused before the reading is looked at
+            with pytest.raises(ValueError, match="^dependence criteria exist"):
+                all_dependencies(g, GraphKind.DAG)
+        assert calls == [0]
+
+    @staticmethod
+    def _assert_matches_witnesses(graphs):
+        for g in graphs:
+            triples = canonical_triples(g.n)
+            for kind, witness in DEPENDENCE_WITNESSES.items():
+                expected = [t for t in triples if witness(g, t.x, t.y, t.z)]
+                assert all_dependencies(g, kind) == expected, (kind, g)
+
+    def test_matches_witnesses_exhaustive(self):
+        self._assert_matches_witnesses(g for n in range(1, 6) for g in all_ugs(n))
+
+    def test_matches_witnesses_on_six_node_forests(self):
+        self._assert_matches_witnesses(all_forests(6))
+
+    def test_matches_witnesses_on_random_graphs(self):
+        rng = random.Random(20261018)
+        self._assert_matches_witnesses(
+            random_ug(rng.randint(6, 8), rng) for _ in range(20))
+
+    def test_walks_each_pair_once_per_through_set(self, monkeypatch):
+        # one walk per pair {A, B} and `through` set avoiding both:
+        # C(n, 2) * 2**(n - 2) at most, against one walk per (A, B) pair
+        # of every triple when each triple runs its own witness
+        calls = self._count_walks(monkeypatch)
+        rng = random.Random(5)
+        graphs = [g for n in range(2, 5) for g in all_ugs(n)]
+        graphs += [MixedGraph.ug("ABCDEF")] + [random_ug(n, rng) for n in (6, 7, 8)]
+        for g in graphs:
+            bound = g.n * (g.n - 1) // 2 * 2 ** (g.n - 2)
+            for kind in (COV, CONC):
+                calls[0] = 0
+                all_dependencies(g, kind)
+                assert 0 < calls[0] <= bound, (kind, g, calls[0])

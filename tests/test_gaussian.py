@@ -30,8 +30,9 @@ from covgraph import (
     submasks,
     trial_seed,
 )
-from covgraph.verify import (_entries_given, _recovered, _trials, corollaries_sweep,
-                             pair_verdicts)
+from covgraph.graphs import connectivity_components
+from covgraph.verify import (_entries_given, _recovered, _recovery_ok, _trials,
+                             corollaries_sweep, pair_verdicts)
 from covgraph.smallgraphs import connected_ugs, random_ug
 from oracles import det_cofactor, inverse_adjugate
 
@@ -249,19 +250,46 @@ class TestPairVerdicts:
             assert verdict == ci_independent(g, COV, bit(i), bit(j), k)
 
 
+def reference_recovery_ok(cov: MixedGraph, conc: MixedGraph) -> bool:
+    """The recovery check on two MixedGraphs: equal connectivity
+    components, and each tree component of either graph complete in the
+    other."""
+    def edges_within(g, mask):
+        return sum(1 for i, j in g.undirected if (mask >> i) & 1 and (mask >> j) & 1)
+
+    def tree_dual_ok(a, b):
+        for comp in connectivity_components(a):
+            size = comp.bit_count()
+            if edges_within(a, comp) == size - 1 and \
+                    edges_within(b, comp) != size * (size - 1) // 2:
+                return False
+        return True
+
+    return (connectivity_components(cov) == connectivity_components(conc)
+            and tree_dual_ok(cov, conc) and tree_dual_ok(conc, cov))
+
+
 class TestTrialRows:
     """Each trial's determinant verdicts are computed once, as a row over
-    the `pair_verdicts` table; the recovered graphs are read from it."""
+    the `pair_verdicts` table; the recovered graphs are read from it as
+    adjacency masks."""
 
     @staticmethod
-    def _check_trial(g, table, seed, t, row, bad):
+    def _check_recovery(g, table, row, cov_graph, conc_graph):
+        cov = _recovered(g.n, row, _entries_given(table, 0))
+        conc = _recovered(g.n, row, _entries_given(table, g.full_mask))
+        assert (cov, conc) == (list(cov_graph.und_adj), list(conc_graph.und_adj))
+        ok = _recovery_ok(cov, conc)
+        assert ok == reference_recovery_ok(cov_graph, conc_graph)
+        return ok
+
+    @classmethod
+    def _check_trial(cls, g, table, seed, t, row, bad):
         model = sample_markov_gaussian(g, trial_seed(seed, t))
         assert row == [ci_test(model, i, j, k) for i, j, k, _v in table]
         assert bad == sum(got != v for got, (_i, _j, _k, v) in zip(row, table))
-        assert _recovered(g, row, _entries_given(table, 0)) == \
-            covariance_graph_of(model, DEFAULT_TOL, g.labels)
-        assert _recovered(g, row, _entries_given(table, g.full_mask)) == \
-            concentration_graph_of(model, DEFAULT_TOL, g.labels)
+        cls._check_recovery(g, table, row, covariance_graph_of(model, DEFAULT_TOL, g.labels),
+                            concentration_graph_of(model, DEFAULT_TOL, g.labels))
 
     def test_rows_match_checked_tests_exhaustive(self):
         for n in range(1, 5):
@@ -281,6 +309,23 @@ class TestTrialRows:
         row, bad = list(_trials(g, table, 24, seed, DEFAULT_TOL))[23]
         assert bad
         self._check_trial(g, table, seed, 23, row, bad)
+
+    def test_recovery_matches_reference_on_random_rows(self):
+        # arbitrary verdict rows, most of which no model produces: the
+        # recovered graphs often differ in components or break the
+        # tree-complete duality, so both outcomes of the check are met
+        rng = random.Random(20261018)
+        outcomes = set()
+        for _ in range(200):
+            g = random_ug(rng.randint(2, 5), rng)
+            table = pair_verdicts(g)
+            row = [rng.random() < 0.5 for _ in table]
+            graphs = [MixedGraph(g.n, g.labels, frozenset(
+                (i, j) for p, i, j in _entries_given(table, given) if not row[p]))
+                for given in (0, g.full_mask)]
+            same_components = len({tuple(connectivity_components(h)) for h in graphs}) == 1
+            outcomes.add((same_components, self._check_recovery(g, table, row, *graphs)))
+        assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 class TestFaithfulness:

@@ -130,6 +130,15 @@ class TestAncestors:
     def test_empty(self):
         assert ancestors(cycle4(), 0) == 0
 
+    def test_back_adjacency_built_once_per_graph(self):
+        # A -- B -> C: C's back step is its parent B, A and B step to each other
+        g = MixedGraph(3, ("A", "B", "C"), frozenset({(0, 1)}), frozenset({(1, 2)}))
+        back = g.back_adj
+        assert back == (bit(1), bit(0), bit(1))
+        assert ancestors(g, bit(2)) == g.full_mask
+        assert ancestors(g, bit(0)) == mask_of([0, 1])
+        assert g.back_adj is back
+
     @given(mixed_graphs(), st.data())
     def test_matches_bruteforce_and_is_monotone_idempotent(self, g, data):
         small = data.draw(st.integers(0, g.full_mask))
