@@ -19,6 +19,7 @@ from covgraph import (
     ci_independent,
     ci_test,
     concentration_graph_of,
+    connectivity_components,
     cov_dependent,
     covariance_graph_of,
     det,
@@ -30,7 +31,6 @@ from covgraph import (
     submasks,
     trial_seed,
 )
-from covgraph.graphs import connectivity_components
 from covgraph.verify import (_entries_given, _recovered, _recovery_ok, _trials,
                              corollaries_sweep, pair_verdicts)
 from covgraph.smallgraphs import connected_ugs, random_ug
