@@ -24,8 +24,8 @@ from .gaussian import (
     sample_markov_gaussian,
 )
 from .graphs import GraphKind, MixedGraph, format_graph, iter_nodes, parse_graph
-from .separation import CITriple, ci_independent
-from .connection import DEPENDENCE_WITNESSES
+from .separation import UG_READINGS, CITriple, ci_independent
+from .connection import dependence_witness
 from .transforms import latent_dag
 from .verify import (
     MIN_FAITHFUL_FRACTION,
@@ -90,7 +90,7 @@ def _cmd_dep(args) -> int:
     g = _load_graph(args.graph)
     kind = GraphKind(args.kind)
     x, y, z = _resolve(g, args)
-    witness = DEPENDENCE_WITNESSES[kind](g, x, y, z)
+    witness = dependence_witness(g, kind, x, y, z)
     payload = {
         "command": "dep",
         "kind": kind.value,
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("dep", help="dependence verdict with witness path")
     _add_common(p, sets=True)
     p.add_argument("--kind", default="covariance",
-                   choices=[k.value for k in DEPENDENCE_WITNESSES])
+                   choices=[k.value for k in UG_READINGS])
     p.set_defaults(func=_cmd_dep)
 
     p = subs.add_parser("closure", help="all derivable dependencies")

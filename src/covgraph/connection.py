@@ -21,7 +21,8 @@ from .graphs import (
     iter_nodes,
     reachable,
 )
-from .separation import MAX_SWEEP_NODES, CITriple, canonical_triples, check_triple, require_kind
+from .separation import (CONCENTRATION, COVARIANCE, MAX_SWEEP_NODES, UG_READINGS, CITriple,
+                         canonical_triples, check_triple, require_kind, through)
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,25 @@ def _unique_path(
     return PathWitness(tuple(reversed(path)))
 
 
-def _first_unique_path(
-    g: MixedGraph, x: NodeSet, y: NodeSet, through: NodeSet
+def _require_reading(g: MixedGraph, kind: GraphKind) -> None:
+    if kind not in UG_READINGS:
+        raise ValueError("dependence criteria exist for covariance and "
+                         "concentration readings only")
+    require_kind(g, kind)
+
+
+def dependence_witness(
+    g: MixedGraph, kind: GraphKind, x: NodeSet, y: NodeSet, z: NodeSet
 ) -> Optional[PathWitness]:
-    """The unique path of the first pair A in X, B in Y that has exactly
-    one simple path inside {A, B} | `through`."""
+    """The unique simple path of the first pair A in X, B in Y that has
+    exactly one path inside {A, B} | `through(g, kind, x, y, z)`, or None."""
+    check_triple(g, x, y, z)
+    _require_reading(g, kind)
+    via = through(g, kind, x, y, z)
     adj = g.und_adj
     for a in iter_nodes(x):
         for b in iter_nodes(y):
-            w = _unique_path(adj, a, b, through | bit(a) | bit(b))
+            w = _unique_path(adj, a, b, via | bit(a) | bit(b))
             if w is not None:
                 return w
     return None
@@ -90,14 +101,11 @@ def cov_dependence_witness(
 ) -> Optional[PathWitness]:
     """Covariance-graph dependence: a single simple path between some
     A in X and B in Y whose nodes all lie in {A, B} | Z."""
-    check_triple(g, x, y, z)
-    if not g.is_undirected_graph:
-        raise ValueError("covariance reading requires an undirected graph")
-    return _first_unique_path(g, x, y, z)
+    return dependence_witness(g, COVARIANCE, x, y, z)
 
 
 def cov_dependent(g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet) -> bool:
-    return cov_dependence_witness(g, x, y, z) is not None
+    return dependence_witness(g, COVARIANCE, x, y, z) is not None
 
 
 def conc_dependence_witness(
@@ -106,20 +114,11 @@ def conc_dependence_witness(
     """Concentration-graph dependence, con(X, Y | Z): the unique simple
     path for the first pair A in X, B in Y with exactly one path avoiding
     (X|Y|Z) \\ {A, B}."""
-    check_triple(g, x, y, z)
-    if not g.is_undirected_graph:
-        raise ValueError("concentration reading requires an undirected graph")
-    return _first_unique_path(g, x, y, g.full_mask & ~(x | y | z))
+    return dependence_witness(g, CONCENTRATION, x, y, z)
 
 
 def conc_dependent(g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet) -> bool:
-    return conc_dependence_witness(g, x, y, z) is not None
-
-
-DEPENDENCE_WITNESSES = {
-    GraphKind.COVARIANCE: cov_dependence_witness,
-    GraphKind.CONCENTRATION: conc_dependence_witness,
-}
+    return dependence_witness(g, CONCENTRATION, x, y, z) is not None
 
 
 def _partners(adj: Sequence[NodeSet], through: NodeSet) -> list[NodeSet]:
@@ -144,19 +143,16 @@ def _partners(adj: Sequence[NodeSet], through: NodeSet) -> list[NodeSet]:
 def all_dependencies(g: MixedGraph, kind: GraphKind) -> list[CITriple]:
     """Every canonical triple the kind's dependence criterion marks
     dependent, in deterministic order, read from one `_partners` table per
-    `through` set: Z for covariance, V minus X|Y|Z for concentration."""
+    `through` set."""
     if g.n > MAX_SWEEP_NODES:
         raise SizeLimitError(f"dependence sweep limited to {MAX_SWEEP_NODES} nodes")
-    if kind not in DEPENDENCE_WITNESSES:
-        raise ValueError("dependence criteria exist for covariance and "
-                         "concentration readings only")
-    require_kind(g, kind)
+    _require_reading(g, kind)
     partners: dict[NodeSet, list[NodeSet]] = {}
     out = []
     for t in canonical_triples(g.n):
-        through = t.z if kind is GraphKind.COVARIANCE else g.full_mask & ~(t.x | t.y | t.z)
-        if through not in partners:
-            partners[through] = _partners(g.und_adj, through)
-        if partners[through][t.x] & t.y:
+        via = through(g, kind, t.x, t.y, t.z)
+        if via not in partners:
+            partners[via] = _partners(g.und_adj, via)
+        if partners[via][t.x] & t.y:
             out.append(t)
     return out

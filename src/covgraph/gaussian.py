@@ -63,7 +63,7 @@ def cholesky(rows: Sequence[Sequence[float]]) -> Optional[list[list[float]]]:
         for j in range(i + 1):
             s = rows[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
             if i == j:
-                if s <= 0.0:
+                if not 0.0 < s < inf:  # NaN fails this test too
                     return None
                 low[i][i] = sqrt(s)
             else:

@@ -197,10 +197,6 @@ class MixedGraph:
     def is_undirected_graph(self) -> bool:
         return not self.directed
 
-    @property
-    def is_directed_graph(self) -> bool:
-        return not self.undirected
-
     def node_set(self, labels: Iterable[str]) -> NodeSet:
         """Resolve labels to a node mask; unknown labels raise ValueError."""
         m = 0
@@ -285,17 +281,21 @@ def ancestors(g: MixedGraph, targets: NodeSet) -> NodeSet:
     return reachable(g.back_adj, targets, g.full_mask)
 
 
+def components(adj: Sequence[NodeSet], within: NodeSet) -> list[NodeSet]:
+    """Partition of `within` into the maximal sets connected by `adj`
+    inside it, ordered by smallest member."""
+    comps = []
+    while within:
+        comp = reachable(adj, within & -within, within)
+        comps.append(comp)
+        within &= ~comp
+    return comps
+
+
 def connectivity_components(g: MixedGraph) -> list[NodeSet]:
     """Partition of the nodes into maximal undirected-route-connected sets,
     ordered by smallest member."""
-    comps = []
-    remaining = g.full_mask
-    while remaining:
-        seed = remaining & -remaining
-        comp = reachable(g.und_adj, seed, g.full_mask)
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
+    return components(g.und_adj, g.full_mask)
 
 
 def is_chain_graph(g: MixedGraph) -> bool:

@@ -23,6 +23,7 @@ from .graphs import (
     SizeLimitError,
     ancestors,
     bit,
+    components,
     disjoint_splits,
     format_nodeset,
     iter_nodes,
@@ -73,25 +74,36 @@ def check_triple(g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet) -> None:
         raise ValueError("X, Y, Z must be pairwise disjoint")
 
 
+COVARIANCE = GraphKind.COVARIANCE
+CONCENTRATION = GraphKind.CONCENTRATION
+DAG = GraphKind.DAG
+UG_READINGS = (COVARIANCE, CONCENTRATION)
+
+
 def require_kind(g: MixedGraph, kind: GraphKind) -> None:
-    if kind in (GraphKind.COVARIANCE, GraphKind.CONCENTRATION):
-        if not g.is_undirected_graph:
+    if kind in UG_READINGS:
+        if g.directed:
             raise ValueError(f"{kind.value} reading requires an undirected graph")
-    elif kind is GraphKind.DAG:
-        if not g.is_directed_graph or not g.is_cg:
+    elif kind is DAG:
+        if g.undirected or not g.is_cg:
             raise ValueError("dag reading requires an acyclic directed graph")
     elif not g.is_cg:
         raise ValueError("cg reading requires a chain graph")
+
+
+def through(g: MixedGraph, kind: GraphKind, x: NodeSet, y: NodeSet, z: NodeSet) -> NodeSet:
+    """The nodes an X-Y path may use besides X and Y under the reading:
+    Z for covariance, the complement of X|Y|Z otherwise.  The covariance
+    reading of (X, Y, Z) is the concentration reading of (X, Y, V minus
+    X|Y|Z), so this is the one place the two readings differ."""
+    return z if kind is COVARIANCE else g.full_mask & ~(x | y | z)
 
 
 def _moral_adj_within(g: MixedGraph, inside: NodeSet) -> list[NodeSet]:
     """Adjacency of the moral graph of the subgraph induced by `inside`,
     indexed by original node ids (entries outside `inside` are unused)."""
     adj = [a & inside for a in g.any_adj]
-    remaining = inside
-    while remaining:
-        comp = reachable(g.und_adj, remaining & -remaining, inside)
-        remaining &= ~comp
+    for comp in components(g.und_adj, inside):
         pa = 0
         for v in iter_nodes(comp):
             pa |= g.pa_adj[v] & inside
@@ -106,20 +118,20 @@ def sep(g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet) -> bool:
     check_triple(g, x, y, z)
     if not g.is_cg:
         raise ValueError("separation requires a chain graph")
-    return _separated(g, x, y, z, {})
+    return _independent(g, GraphKind.CG, x, y, z, {})
 
 
-def _separated(
-    g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet,
+def _independent(
+    g: MixedGraph, kind: GraphKind, x: NodeSet, y: NodeSet, z: NodeSet,
     moral: dict[NodeSet, tuple[NodeSet, list[NodeSet]]],
 ) -> bool:
-    """`sep` without its checks.  `moral` caches the ancestral set of
-    X|Y|Z and its moral adjacency, so callers reading many triples of one
-    graph share it; triples with the same union share one entry."""
-    if g.is_undirected_graph:
+    """`ci_independent` without its checks.  `moral` caches the ancestral
+    set of X|Y|Z and its moral adjacency, so callers reading many triples
+    of one graph share it; triples with the same union share one entry."""
+    if not g.directed:
         # Without arrows the ancestral set is a union of components and
-        # moralization adds nothing: X meets Y only within its component.
-        return not (reachable(g.und_adj, x, g.full_mask & ~z) & y)
+        # moralization adds nothing: no X-Y path may stay in X|Y|through.
+        return not (reachable(g.und_adj, x, x | y | through(g, kind, x, y, z)) & y)
     inside = x | y | z
     entry = moral.get(inside)
     if entry is None:
@@ -133,12 +145,7 @@ def ci_independent(g: MixedGraph, kind: GraphKind, x: NodeSet, y: NodeSet, z: No
     """Graphical independence verdict under the given reading of g."""
     check_triple(g, x, y, z)
     require_kind(g, kind)
-    if kind is GraphKind.COVARIANCE:
-        # Every X-Y path has a node outside X|Y|Z  <=>  X and Y are
-        # disconnected in the subgraph induced by X|Y|Z.
-        inside = x | y | z
-        return not (reachable(g.und_adj, x, inside) & y)
-    return sep(g, x, y, z)
+    return _independent(g, kind, x, y, z, {})
 
 
 @lru_cache(maxsize=None)
@@ -161,10 +168,6 @@ def all_independencies(g: MixedGraph, kind: GraphKind) -> list[CITriple]:
         raise SizeLimitError(f"independence sweep limited to {MAX_SWEEP_NODES} nodes")
     require_kind(g, kind)
     # Canonical triples are valid by construction, and `require_kind` has
-    # checked the reading, so both tests run without the per-call checks.
-    if kind is GraphKind.COVARIANCE:
-        adj = g.und_adj
-        return [t for t in canonical_triples(g.n)
-                if not (reachable(adj, t.x, t.x | t.y | t.z) & t.y)]
+    # checked the reading, so the test runs without the per-call checks.
     moral: dict = {}
-    return [t for t in canonical_triples(g.n) if _separated(g, t.x, t.y, t.z, moral)]
+    return [t for t in canonical_triples(g.n) if _independent(g, kind, t.x, t.y, t.z, moral)]

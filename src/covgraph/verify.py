@@ -17,9 +17,9 @@ from .closure import MAX_CLOSURE_NODES, RULES, ClosureState, saturate
 from .connection import all_dependencies
 from .gaussian import (DEFAULT_TOL, _vanishes, require_tolerance, sample_markov_gaussian,
                        trial_seed)
-from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit, iter_nodes,
-                     reachable, submasks)
-from .separation import _separated, all_independencies, canonical_triples, ci_independent
+from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit, components,
+                     iter_nodes, submasks)
+from .separation import _independent, all_independencies, canonical_triples, ci_independent
 from .smallgraphs import all_forests, all_ugs, connected_ugs, random_ug
 from .transforms import is_forest, latent_dag
 
@@ -75,7 +75,8 @@ def verify_latent_equivalence(g: MixedGraph, max_nodes: int = MAX_LATENT_NODES) 
     moral: dict = {}
     violations = [
         f"{t.render(g.labels)}: criterion={t in independent} latent-dag={t not in independent}"
-        for t in triples if (t in independent) != _separated(h.dag, t.x, t.y, t.z, moral)
+        for t in triples
+        if (t in independent) != _independent(h.dag, GraphKind.DAG, t.x, t.y, t.z, moral)
     ]
     return Report(len(triples), violations)
 
@@ -290,13 +291,11 @@ def _recovered(n: int, row: list[bool], entries: list[tuple[int, int, int]]) -> 
 def _recovery_ok(cov: list[NodeSet], conc: list[NodeSet]) -> bool:
     """The recovered graphs (adjacency masks) share their components, and
     each tree component of either is complete in the other."""
-    full = remaining = (1 << len(cov)) - 1
-    while remaining:
-        seed = remaining & -remaining
-        comp = reachable(cov, seed, full)
-        if reachable(conc, seed, full) != comp:
-            return False
-        remaining &= ~comp
+    full = (1 << len(cov)) - 1
+    comps = components(cov, full)
+    if components(conc, full) != comps:
+        return False
+    for comp in comps:
         # degree sums are twice the edge counts; if either graph has a
         # tree's, the other must have the complete graph's
         size = comp.bit_count()

@@ -13,6 +13,7 @@ from covgraph import (
     MixedGraph,
     PathWitness,
     all_dependencies,
+    all_independencies,
     bit,
     canonical_triples,
     ci_independent,
@@ -23,7 +24,8 @@ from covgraph import (
     iter_nodes,
 )
 from covgraph import connection
-from covgraph.connection import DEPENDENCE_WITNESSES, _unique_path
+from covgraph.connection import _unique_path, dependence_witness
+from covgraph.separation import UG_READINGS
 from covgraph.smallgraphs import all_forests, all_ugs, random_ug
 from oracles import all_simple_paths, count_paths_bruteforce, mask_of, und_neighbor_sets
 from strategies import dead_end_clique, ugs
@@ -217,7 +219,8 @@ class TestConcDependence:
 class TestCriterionInterplay:
     def test_duality_exhaustive(self):
         # covariance dependence given Z == concentration dependence given
-        # the complement; the two implementations route differently
+        # the complement: both readings run one walk and differ only in
+        # `through`, so this pins its complement arithmetic
         for n in range(2, 6):
             for g in all_ugs(n):
                 for t in canonical_triples(n):
@@ -290,21 +293,29 @@ class TestAllDependencies:
             # the kind is refused before the reading is looked at
             with pytest.raises(ValueError, match="^dependence criteria exist"):
                 all_dependencies(g, GraphKind.DAG)
+            with pytest.raises(ValueError, match="^dependence criteria exist"):
+                dependence_witness(g, GraphKind.DAG, bit(0), bit(1), 0)
         assert calls == [0]
 
     @staticmethod
     def _assert_matches_witnesses(graphs):
         for g in graphs:
             triples = canonical_triples(g.n)
-            for kind, witness in DEPENDENCE_WITNESSES.items():
-                expected = [t for t in triples if witness(g, t.x, t.y, t.z)]
+            for kind in UG_READINGS:
+                expected = [t for t in triples if dependence_witness(g, kind, t.x, t.y, t.z)]
                 assert all_dependencies(g, kind) == expected, (kind, g)
 
     def test_matches_witnesses_exhaustive(self):
         self._assert_matches_witnesses(g for n in range(1, 6) for g in all_ugs(n))
 
-    def test_matches_witnesses_on_six_node_forests(self):
-        self._assert_matches_witnesses(all_forests(6))
+    def test_complements_independence_on_six_node_forests(self):
+        # a forest joins two nodes by at most one path, so a unique path is
+        # any path and concentration dependence is the exact complement of
+        # concentration independence; criterion 5 checks the covariance half
+        triples = canonical_triples(6)
+        for g in all_forests(6):
+            independent = set(all_independencies(g, CONC))
+            assert all_dependencies(g, CONC) == [t for t in triples if t not in independent], g
 
     def test_matches_witnesses_on_random_graphs(self):
         rng = random.Random(20261018)

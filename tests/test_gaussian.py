@@ -2,6 +2,7 @@
 recovery, faithfulness sampling."""
 
 import random
+from math import inf, nan
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,13 @@ class TestGaussianModel:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             GaussianModel((0.0,), ((1.0, 0.0), (0.0, 1.0)))
+
+    @pytest.mark.parametrize("sigma", [((nan,),), ((inf,),), ((1.0, 0.0), (0.0, nan))],
+                             ids=["nan", "inf", "nan-second-pivot"])
+    def test_rejects_non_finite_pivot(self, sigma):
+        # NaN fails every comparison, so a `pivot <= 0` test lets it through
+        with pytest.raises(ValueError, match="positive definite"):
+            GaussianModel((0.0,) * len(sigma), sigma)
 
 
 class TestSampling:

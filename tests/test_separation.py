@@ -21,7 +21,9 @@ from covgraph import (
     latent_dag,
     sep,
 )
-from covgraph.separation import _separated
+from covgraph import graphs, separation
+from covgraph.separation import _independent
+from covgraph.connection import dependence_witness
 from covgraph.smallgraphs import all_ugs, default_labels
 from oracles import (
     all_simple_paths,
@@ -130,8 +132,8 @@ class TestSep:
         assert sep(g, x, y, z) == expect
 
     def test_ug_fast_path_matches_path_enumeration_exhaustive(self):
-        # without arrows `_separated` walks the whole graph minus Z instead
-        # of the moral ancestral graph: every X-Y path must meet Z
+        # without arrows `_independent` walks the whole graph minus Z
+        # instead of the moral ancestral graph: every X-Y path must meet Z
         for n in range(1, 6):
             for g in all_ugs(n):
                 nbr = und_neighbor_sets(g)
@@ -140,7 +142,7 @@ class TestSep:
                     allowed = set(range(n)) - z
                     expect = not any(all_simple_paths(nbr, a, b, allowed)
                                      for a in x for b in y)
-                    assert _separated(g, t.x, t.y, t.z, {}) == expect
+                    assert _independent(g, GraphKind.CG, t.x, t.y, t.z, {}) == expect
                     assert ci_independent(g, CONC, t.x, t.y, t.z) == expect
 
     def test_shared_cache_matches_one_shot_sep(self):
@@ -155,7 +157,7 @@ class TestSep:
             moral: dict = {}
             triples = canonical_triples(n)
             for t in triples:
-                assert _separated(h, t.x, t.y, t.z, moral) == sep(h, t.x, t.y, t.z)
+                assert _independent(h, GraphKind.CG, t.x, t.y, t.z, moral) == sep(h, t.x, t.y, t.z)
             if h.directed:
                 assert len(moral) == len({t.x | t.y | t.z for t in triples})
 
@@ -231,6 +233,44 @@ class TestCovarianceCriterion:
                 for t in canonical_triples(n):
                     assert ci_independent(g, COV, t.x, t.y, t.z) == \
                         ci_independent(g, COV, t.y, t.x, t.z)
+
+
+class TestQueryChecks:
+    """Each public query validates its triple and its reading once."""
+
+    # A - B - C in each reading's graph form: A and C are independent
+    # given B in every reading but the covariance one
+    UG_PATH = MixedGraph.ug("ABC", [("A", "B"), ("B", "C")])
+    PATHS = {
+        COV: UG_PATH,
+        CONC: UG_PATH,
+        GraphKind.DAG: MixedGraph.dag("ABC", [("A", "B"), ("B", "C")]),
+        GraphKind.CG: MixedGraph(3, ("A", "B", "C"), frozenset({(0, 1)}), frozenset({(1, 2)})),
+    }
+
+    @pytest.mark.parametrize("kind", list(GraphKind), ids=lambda k: k.value)
+    def test_one_triple_check_per_query(self, kind, monkeypatch):
+        check_triple = separation.check_triple
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return check_triple(*args)
+
+        monkeypatch.setattr(separation, "check_triple", counted)
+        assert ci_independent(self.PATHS[kind], kind, bit(0), bit(2), bit(1)) == (kind is not COV)
+        assert len(calls) == 1
+
+    def test_ug_readings_skip_the_chain_graph_pass(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("chain-graph pass on an undirected graph")
+
+        monkeypatch.setattr(graphs, "is_chain_graph", refuse)
+        for kind in (COV, CONC):
+            g = cycle4()  # fresh, so `is_cg` is not cached
+            assert ci_independent(g, kind, bit(0), bit(2), 0) == (kind is COV)
+            assert all_independencies(g, kind)
+            assert dependence_witness(g, kind, bit(0), bit(1), bit(2)) is not None
 
 
 class TestAllIndependencies:
