@@ -21,18 +21,16 @@ from .graphs import (
 )
 from .separation import (
     CITriple,
+    PathWitness,
+    all_dependencies,
     all_independencies,
     canonical_triples,
     ci_independent,
-    sep,
-)
-from .connection import (
-    PathWitness,
-    all_dependencies,
     conc_dependence_witness,
     conc_dependent,
     cov_dependence_witness,
     cov_dependent,
+    sep,
 )
 from .closure import (
     ClosureState,

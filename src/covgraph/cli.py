@@ -24,8 +24,7 @@ from .gaussian import (
     sample_markov_gaussian,
 )
 from .graphs import GraphKind, MixedGraph, format_graph, iter_nodes, parse_graph
-from .separation import UG_READINGS, CITriple, ci_independent
-from .connection import dependence_witness
+from .separation import UG_READINGS, CITriple, ci_independent, dependence_witness
 from .transforms import latent_dag
 from .verify import (
     MIN_FAITHFUL_FRACTION,

@@ -113,7 +113,7 @@ def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
     `_reverse_sweep` flips the split and rule application order; the
     resulting established set must not change (only provenance may).
     """
-    if not g.is_undirected_graph:
+    if g.directed:
         raise ValueError("closure is defined for covariance (undirected) graphs")
     if g.n > MAX_CLOSURE_NODES:
         raise SizeLimitError(f"closure limited to {MAX_CLOSURE_NODES} nodes")

@@ -98,7 +98,7 @@ class GaussianModel:
 def nd_dimension(g: MixedGraph) -> int:
     """Free parameters of the graph-constrained Gaussian family: the mean,
     the diagonal, and one covariance per edge."""
-    if not g.is_undirected_graph:
+    if g.directed:
         raise ValueError("nd dimension is defined for undirected graphs")
     return 2 * g.n + len(g.undirected)
 
@@ -113,7 +113,7 @@ def sample_markov_gaussian(g: MixedGraph, seed: int) -> GaussianModel:
     Draw order: diagonal by node index, edge entries in sorted edge order,
     then the mean.  Non-edges are exactly zero.
     """
-    if not g.is_undirected_graph:
+    if g.directed:
         raise ValueError("sampling requires an undirected graph")
     if seed < 0:
         raise ValueError("seed must not be negative")

@@ -191,11 +191,7 @@ class MixedGraph:
 
     @cached_property
     def is_cg(self) -> bool:
-        return is_chain_graph(self)
-
-    @property
-    def is_undirected_graph(self) -> bool:
-        return not self.directed
+        return not self.directed or is_chain_graph(self)
 
     def node_set(self, labels: Iterable[str]) -> NodeSet:
         """Resolve labels to a node mask; unknown labels raise ValueError."""

@@ -30,7 +30,7 @@ def latent_dag(g: MixedGraph) -> LatentDag:
     latents are appended in sorted edge order and named after their
     endpoints' labels.
     """
-    if not g.is_undirected_graph:
+    if g.directed:
         raise ValueError("the latent construction starts from an undirected graph")
     edges = sorted(g.undirected)
     if g.n + len(edges) > MAX_NODES:
@@ -53,6 +53,6 @@ def latent_dag(g: MixedGraph) -> LatentDag:
 
 def is_forest(g: MixedGraph) -> bool:
     """True iff the undirected graph is acyclic."""
-    if not g.is_undirected_graph:
+    if g.directed:
         raise ValueError("forest test is defined for undirected graphs")
     return len(g.undirected) == g.n - len(connectivity_components(g))

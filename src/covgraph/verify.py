@@ -14,12 +14,12 @@ from operator import ne
 from typing import Iterator
 
 from .closure import MAX_CLOSURE_NODES, RULES, ClosureState, saturate
-from .connection import all_dependencies
 from .gaussian import (DEFAULT_TOL, _vanishes, require_tolerance, sample_markov_gaussian,
                        trial_seed)
 from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit, components,
                      iter_nodes, submasks)
-from .separation import _independent, all_independencies, canonical_triples, ci_independent
+from .separation import (_independent, all_dependencies, all_independencies, canonical_triples,
+                         ci_independent, require_kind)
 from .smallgraphs import all_forests, all_ugs, connected_ugs, random_ug
 from .transforms import is_forest, latent_dag
 
@@ -126,8 +126,8 @@ def pair_verdicts(g: MixedGraph) -> list[tuple[int, int, NodeSet, bool]]:
     """(i, j, K, verdict) for every pair i < j and every K avoiding both,
     where verdict is the covariance criterion on i independent of j given
     K: the table a model's determinant tests are compared against."""
-    independent = {(t.x, t.y, t.z) for t in all_independencies(g, GraphKind.COVARIANCE)}
-    return [(i, j, k, (bit(i), bit(j), k) in independent)
+    require_kind(g, GraphKind.COVARIANCE)
+    return [(i, j, k, _independent(g, GraphKind.COVARIANCE, bit(i), bit(j), k, {}))
             for i in range(g.n)
             for j in range(i + 1, g.n)
             for k in submasks(g.full_mask & ~bit(i) & ~bit(j))]
@@ -186,45 +186,42 @@ def _require_n_max(scope: str, n_max: int, limit: int) -> None:
         raise ValueError(f"{scope} sweep limited to {limit} nodes")
 
 
-def _closure_matches(g: MixedGraph, failures: list[str]) -> bool:
+def _closure_report(g: MixedGraph) -> Report:
+    """The rule closure of g against the single-path criterion."""
     derived = saturate(g).established
     certified = set(all_dependencies(g, GraphKind.COVARIANCE))
-    if derived == certified:
-        return True
-    missing = sorted(t.render(g.labels) for t in certified - derived)
-    extra = sorted(t.render(g.labels) for t in derived - certified)
-    _record(failures, f"{_describe(g)} missing={missing} extra={extra}")
-    return False
+    report = Report(len(canonical_triples(g.n)))
+    if derived != certified:
+        missing = sorted(t.render(g.labels) for t in certified - derived)
+        extra = sorted(t.render(g.labels) for t in derived - certified)
+        report.violations.append(f"missing={missing} extra={extra}")
+    return report
 
 
 def theorems_sweep(n_max: int = 5, random_graphs: int = 200, seed: int = 0) -> dict:
     """Set equality of the rule closure and the single-path criterion:
     exhaustive up to 4 nodes, seeded random sample at 5 and 6."""
-    _require_n_max("theorems", n_max, MAX_CLOSURE_NODES)
     if random_graphs < 0:
         raise ValueError("random graph count must not be negative")
     if seed < 0:
         raise ValueError("seed must not be negative")
-    failures: list[str] = []
-    exhaustive = 0
-    for n in range(1, min(n_max, 4) + 1):
-        for g in all_ugs(n):
-            exhaustive += 1
-            _closure_matches(g, failures)
-    sampled = 0
     rng = random.Random(seed)
-    for n in range(5, n_max + 1):
-        for _ in range(random_graphs):
-            sampled += 1
-            _closure_matches(random_ug(n, rng), failures)
+
+    def family(n: int):
+        if n <= 4:
+            return all_ugs(n)
+        return (random_ug(n, rng) for _ in range(random_graphs))
+
+    sweep = _per_graph_sweep("theorems", n_max, MAX_CLOSURE_NODES, family, _closure_report)
+    sampled = random_graphs * max(n_max - 4, 0)
     return {
         "scope": "theorems",
         "n_max": n_max,
         "seed": seed,
-        "exhaustive_graphs": exhaustive,
+        "exhaustive_graphs": sweep["graphs"] - sampled,
         "random_graphs": sampled,
-        "failures": failures,
-        "passed": not failures,
+        "failures": sweep["failures"],
+        "passed": sweep["passed"],
     }
 
 

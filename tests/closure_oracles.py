@@ -41,7 +41,7 @@ def naive_saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
     """The closure engine keyed by (x, y, z) mask tuples, with the split
     tables built on every call: same sweep order, rule order, provenance
     and sweep count as `saturate`."""
-    if not g.is_undirected_graph:
+    if g.directed:
         raise ValueError("closure is defined for covariance (undirected) graphs")
     if g.n > MAX_CLOSURE_NODES:
         raise SizeLimitError(f"closure limited to {MAX_CLOSURE_NODES} nodes")

@@ -2,8 +2,10 @@
 
 import gc
 import random
+import re
 import weakref
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -16,15 +18,18 @@ from covgraph import (
     SizeLimitError,
     all_dependencies,
     bit,
+    canonical_triples,
     ci_independent,
     explain,
     iter_nodes,
     replay_provenance,
     saturate,
 )
-from covgraph.closure import RULES, RULE_BASE, RULE_WEAK_TRANSITIVITY1, _sites
+from covgraph import verify
+from covgraph.closure import (RULES, RULE_BASE, RULE_WEAK_TRANSITIVITY1, ClosureState, Derivation,
+                              _sites)
 from covgraph.smallgraphs import all_ugs, random_ug
-from covgraph.verify import _closure_matches
+from covgraph.verify import MAX_FAILURES_KEPT, _closure_report, theorems_sweep
 from closure_oracles import naive_explain, naive_saturate
 
 COV = GraphKind.COVARIANCE
@@ -183,6 +188,26 @@ class TestSaturate:
             report = replay_provenance(saturate(g))
             assert report.passed, report.violations
 
+    def test_replay_reports_tampered_provenance(self):
+        # an unknown rule, an antecedent that was never established (A and C
+        # are marginally independent on the path) and an independency the
+        # criterion does not certify (A - B is an edge)
+        state = saturate(path3())
+        ab, ac = CITriple(bit(0), bit(1)), CITriple(bit(0), bit(2))
+        ac_b = CITriple(bit(0), bit(2), bit(1))
+        provenance = {
+            ab: Derivation("no-such-rule"),
+            ac_b: Derivation(RULE_WEAK_TRANSITIVITY1, dependencies=(ac,), independencies=(ab,)),
+        }
+        report = replay_provenance(ClosureState(state.graph, state.established, provenance,
+                                                state.sweeps))
+        assert report.checked == 2
+        assert report.violations == [
+            "A ; B ; -: unknown rule no-such-rule",
+            "A ; C ; B: antecedent A ; C ; - missing",
+            "A ; C ; B: A ; B ; - not graph-certified",
+        ]
+
     def test_matches_naive_engine(self):
         """The int-keyed engine and the tuple-keyed one make the same first
         derivations in the same order, in the same number of sweeps, in
@@ -272,16 +297,31 @@ class TestTheoremEquality:
         # the verification check (soundness and completeness as one set
         # equality) passes and records nothing
         for g in (path3(), cycle4(), MixedGraph.ug("AB")):
-            failures: list[str] = []
-            assert _closure_matches(g, failures), failures
-            assert failures == []
+            report = _closure_report(g)
+            assert report.violations == []
+            assert report.checked == len(canonical_triples(g.n))
 
     def test_edgeless_passes_vacuously(self):
         g = MixedGraph.ug("ABC")
         assert saturate(g).established == set()
-        failures: list[str] = []
-        assert _closure_matches(g, failures)
-        assert failures == []
+        assert _closure_report(g).violations == []
+
+    def test_sweep_records_a_dropped_statement(self, monkeypatch):
+        def drop_first(g):
+            state = saturate(g)
+            if not state.established:
+                return state
+            first = min(state.established, key=CITriple.sort_key)
+            return replace(state, established=state.established - {first})
+
+        monkeypatch.setattr(verify, "saturate", drop_first)
+        r = theorems_sweep(4, 0, 0)
+        assert r["exhaustive_graphs"] == 75 and not r["passed"]
+        # 71 of the 75 graphs have an edge, so each fails; 20 are kept
+        assert len(r["failures"]) == MAX_FAILURES_KEPT
+        assert r["failures"][0] == "n=2 edges=[A-B] missing=['A ; B ; -'] extra=[]"
+        for line in r["failures"]:
+            assert re.fullmatch(r"n=\d edges=\[[A-D,-]*\] missing=\['[^']+'\] extra=\[\]", line)
 
 
 class TestExplain:

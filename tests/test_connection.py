@@ -23,9 +23,8 @@ from covgraph import (
     cov_dependent,
     iter_nodes,
 )
-from covgraph import connection
-from covgraph.connection import _unique_path, dependence_witness
-from covgraph.separation import UG_READINGS
+from covgraph import separation
+from covgraph.separation import UG_READINGS, _unique_path, dependence_witness
 from covgraph.smallgraphs import all_forests, all_ugs, random_ug
 from oracles import all_simple_paths, count_paths_bruteforce, mask_of, und_neighbor_sets
 from strategies import dead_end_clique, ugs
@@ -279,7 +278,7 @@ class TestAllDependencies:
             calls[0] += 1
             return _unique_path(*args)
 
-        monkeypatch.setattr(connection, "_unique_path", counted)
+        monkeypatch.setattr(separation, "_unique_path", counted)
         return calls
 
     @pytest.mark.parametrize("kind", [COV, CONC])

@@ -22,8 +22,7 @@ from covgraph import (
     sep,
 )
 from covgraph import graphs, separation
-from covgraph.separation import _independent
-from covgraph.connection import dependence_witness
+from covgraph.separation import _independent, dependence_witness
 from covgraph.smallgraphs import all_ugs, default_labels
 from oracles import (
     all_simple_paths,
@@ -261,6 +260,12 @@ class TestQueryChecks:
         assert ci_independent(self.PATHS[kind], kind, bit(0), bit(2), bit(1)) == (kind is not COV)
         assert len(calls) == 1
 
+    def test_empty_side_is_refused(self):
+        for x, y in ((0, bit(2)), (bit(0), 0)):
+            with pytest.raises(ValueError) as exc:
+                ci_independent(cycle4(), COV, x, y, bit(1))
+            assert str(exc.value) == "X and Y must be nonempty"
+
     def test_ug_readings_skip_the_chain_graph_pass(self, monkeypatch):
         def refuse(g):
             raise AssertionError("chain-graph pass on an undirected graph")
@@ -271,6 +276,8 @@ class TestQueryChecks:
             assert ci_independent(g, kind, bit(0), bit(2), 0) == (kind is COV)
             assert all_independencies(g, kind)
             assert dependence_witness(g, kind, bit(0), bit(1), bit(2)) is not None
+        assert sep(cycle4(), bit(0), bit(2), bit(1) | bit(3))
+        assert not ci_independent(cycle4(), GraphKind.CG, bit(0), bit(2), bit(1))
 
 
 class TestAllIndependencies:

@@ -18,7 +18,7 @@ from covgraph import (
     verify_latent_equivalence,
 )
 import covgraph.verify
-from covgraph.connection import _unique_path
+from covgraph.separation import _unique_path
 from covgraph.smallgraphs import all_forests, all_ugs
 from oracles import count_paths_bruteforce
 
