@@ -4,7 +4,7 @@ Adjacent nodes of a covariance graph are marginally dependent; further
 dependencies follow by the contrapositive forms of the graphoid
 properties plus weak transitivity and composition (nine rules in all).
 Independence antecedents are read from the graph's covariance
-independence table, never from absence from the closure.  The engine
+independence row, never from absence from the closure.  The engine
 materializes the finite statement universe and sweeps every disjoint
 split of the vertex set until fixpoint, recording the first derivation
 per statement.
@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import compress
 
 from .graphs import (GraphKind, MixedGraph, SizeLimitError, bit, disjoint_splits,
                      format_nodeset, iter_nodes)
-from .separation import CITriple, all_independencies
+from .separation import CITriple, _independence_row, canonical_triples, check_triple
 
 RULE_BASE = "base"
 RULE_SYMMETRY = "symmetry"  # absorbed by storing both orders of X and Y
@@ -72,7 +73,9 @@ class ClosureState:
         return tuple(format_nodeset(m, self.graph.labels) for m in range(1 << self.graph.n))
 
     def sorted_statements(self) -> list[CITriple]:
-        return sorted(self.established, key=CITriple.sort_key)
+        # `canonical_triples` is already sorted by `CITriple.sort_key`.
+        established = self.established
+        return [t for t in canonical_triples(self.graph.n) if t in established]
 
 
 @lru_cache(maxsize=None)
@@ -107,6 +110,20 @@ def _sites(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], 
     return set_sites, node_sites
 
 
+def _keys(t: CITriple, n: int) -> tuple[int, int]:
+    """The statement keys of t (see `_sites`) under both orders of X and Y."""
+    z = t.z << 2 * n
+    return t.x | t.y << n | z, t.y | t.x << n | z
+
+
+@lru_cache(maxsize=None)
+def _triples(n: int) -> dict[int, CITriple]:
+    """The triple of each statement key: both orders of X and Y map to the
+    one object in `canonical_triples(n)`, so the closure builds no triple
+    of its own."""
+    return {k: t for t in canonical_triples(n) for k in _keys(t, n)}
+
+
 def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
     """Least fixpoint of the nine rules over the dependence base.
 
@@ -121,21 +138,15 @@ def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
     # Statements are int keys (see `_sites`), stored under both orders of
     # X and Y, so no lookup has to put a triple into canonical form first.
     n = g.n
-    full = g.full_mask
-
-    def keys(t: CITriple) -> tuple[int, int]:
-        z = t.z << 2 * n
-        return t.x | t.y << n | z, t.y | t.x << n | z
-
-    def triple(k: int) -> CITriple:
-        return CITriple(k & full, k >> n & full, k >> 2 * n)
+    triple = _triples(n).__getitem__
 
     def add(k, rule, deps, indeps) -> None:
         t = triple(k)
-        est.update(keys(t))
+        est.update(_keys(t, n))
         provenance[t] = Derivation(rule, tuple(map(triple, deps)), tuple(map(triple, indeps)))
 
-    indep = {k for t in all_independencies(g, GraphKind.COVARIANCE) for k in keys(t)}
+    row = _independence_row(g, GraphKind.COVARIANCE)
+    indep = {k for t in compress(canonical_triples(n), row) for k in _keys(t, n)}
     est: set[int] = set()
     provenance: dict[CITriple, Derivation] = {}
     for i, j in g.undirected:
@@ -189,6 +200,7 @@ def explain(state: ClosureState, triple: CITriple) -> str:
     """Derivation tree of an established statement, down to base edges and
     graph-certified independencies.  Each subtree is rendered once per
     state and reused by every tree that contains it."""
+    check_triple(state.graph, triple.x, triple.y, triple.z)
     if triple not in state.established:
         raise NotEstablishedError(
             f"{triple.render(state.graph.labels)} is not in the closure"

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Optional, Sequence
 
 from .graphs import (
@@ -57,6 +58,8 @@ class CITriple:
     z: NodeSet = 0
 
     def __post_init__(self) -> None:
+        if (self.x | self.y | self.z) < 0:
+            raise ValueError("node set masks must not be negative")
         if not self.x or not self.y:
             raise ValueError("X and Y must be nonempty")
         if self.x & self.y or self.x & self.z or self.y & self.z:
@@ -169,16 +172,23 @@ def canonical_triples(n: int) -> tuple[CITriple, ...]:
     return tuple(out)
 
 
-def all_independencies(g: MixedGraph, kind: GraphKind) -> list[CITriple]:
-    """Every canonical triple the criterion marks independent, in
-    deterministic order."""
+def _independence_row(g: MixedGraph, kind: GraphKind) -> list[bool]:
+    """The criterion's verdict on each triple of `canonical_triples(g.n)`,
+    by position."""
     if g.n > MAX_SWEEP_NODES:
         raise SizeLimitError(f"independence sweep limited to {MAX_SWEEP_NODES} nodes")
     require_kind(g, kind)
     # Canonical triples are valid by construction, and `require_kind` has
     # checked the reading, so the test runs without the per-call checks.
     moral: dict = {}
-    return [t for t in canonical_triples(g.n) if _independent(g, kind, t.x, t.y, t.z, moral)]
+    return [_independent(g, kind, t.x, t.y, t.z, moral) for t in canonical_triples(g.n)]
+
+
+def all_independencies(g: MixedGraph, kind: GraphKind) -> list[CITriple]:
+    """Every canonical triple the criterion marks independent, in
+    deterministic order."""
+    row = _independence_row(g, kind)
+    return list(compress(canonical_triples(g.n), row))
 
 
 @dataclass(frozen=True)
@@ -296,19 +306,26 @@ def _partners(adj: Sequence[NodeSet], through: NodeSet) -> list[NodeSet]:
     return reach
 
 
-def all_dependencies(g: MixedGraph, kind: GraphKind) -> list[CITriple]:
-    """Every canonical triple the kind's dependence criterion marks
-    dependent, in deterministic order, read from one `_partners` table per
-    `through` set."""
+def _dependence_row(g: MixedGraph, kind: GraphKind) -> list[bool]:
+    """The kind's dependence verdict on each triple of
+    `canonical_triples(g.n)`, by position, read from one `_partners` table
+    per `through` set."""
     if g.n > MAX_SWEEP_NODES:
         raise SizeLimitError(f"dependence sweep limited to {MAX_SWEEP_NODES} nodes")
     _require_reading(g, kind)
     partners: dict[NodeSet, list[NodeSet]] = {}
-    out = []
+    row = []
     for t in canonical_triples(g.n):
         via = through(g, kind, t.x, t.y, t.z)
-        if via not in partners:
-            partners[via] = _partners(g.und_adj, via)
-        if partners[via][t.x] & t.y:
-            out.append(t)
-    return out
+        reach = partners.get(via)
+        if reach is None:
+            reach = partners[via] = _partners(g.und_adj, via)
+        row.append(bool(reach[t.x] & t.y))
+    return row
+
+
+def all_dependencies(g: MixedGraph, kind: GraphKind) -> list[CITriple]:
+    """Every canonical triple the kind's dependence criterion marks
+    dependent, in deterministic order."""
+    row = _dependence_row(g, kind)
+    return list(compress(canonical_triples(g.n), row))

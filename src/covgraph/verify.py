@@ -18,7 +18,7 @@ from .gaussian import (DEFAULT_TOL, _vanishes, require_tolerance, sample_markov_
                        trial_seed)
 from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit, components,
                      iter_nodes, submasks)
-from .separation import (_independent, all_dependencies, all_independencies, canonical_triples,
+from .separation import (_dependence_row, _independence_row, _independent, canonical_triples,
                          ci_independent, require_kind)
 from .smallgraphs import all_forests, all_ugs, connected_ugs, random_ug
 from .transforms import is_forest, latent_dag
@@ -70,13 +70,13 @@ def verify_latent_equivalence(g: MixedGraph, max_nodes: int = MAX_LATENT_NODES) 
     if g.n > max_nodes:
         raise SizeLimitError(f"equivalence sweep limited to {max_nodes} nodes")
     h = latent_dag(g)
-    independent = set(all_independencies(g, GraphKind.COVARIANCE))
+    independent = _independence_row(g, GraphKind.COVARIANCE)
     triples = canonical_triples(g.n)
     moral: dict = {}
     violations = [
-        f"{t.render(g.labels)}: criterion={t in independent} latent-dag={t not in independent}"
-        for t in triples
-        if (t in independent) != _independent(h.dag, GraphKind.DAG, t.x, t.y, t.z, moral)
+        f"{t.render(g.labels)}: criterion={i} latent-dag={not i}"
+        for t, i in zip(triples, independent)
+        if i != _independent(h.dag, GraphKind.DAG, t.x, t.y, t.z, moral)
     ]
     return Report(len(triples), violations)
 
@@ -88,12 +88,12 @@ def verify_forest_faithfulness(g: MixedGraph, max_nodes: int = MAX_FOREST_NODES)
         raise ValueError("graph is not a forest")
     if g.n > max_nodes:
         raise SizeLimitError(f"forest sweep limited to {max_nodes} nodes")
-    dependent = set(all_dependencies(g, GraphKind.COVARIANCE))
-    independent = set(all_independencies(g, GraphKind.COVARIANCE))
+    dependent = _dependence_row(g, GraphKind.COVARIANCE)
+    independent = _independence_row(g, GraphKind.COVARIANCE)
     triples = canonical_triples(g.n)
     violations = [
-        f"{t.render(g.labels)}: dependent={t in dependent} independent={t in independent}"
-        for t in triples if (t in dependent) == (t in independent)
+        f"{t.render(g.labels)}: dependent={d} independent={i}"
+        for t, d, i in zip(triples, dependent, independent) if d == i
     ]
     return Report(len(triples), violations)
 
@@ -189,11 +189,13 @@ def _require_n_max(scope: str, n_max: int, limit: int) -> None:
 def _closure_report(g: MixedGraph) -> Report:
     """The rule closure of g against the single-path criterion."""
     derived = saturate(g).established
-    certified = set(all_dependencies(g, GraphKind.COVARIANCE))
-    report = Report(len(canonical_triples(g.n)))
-    if derived != certified:
-        missing = sorted(t.render(g.labels) for t in certified - derived)
-        extra = sorted(t.render(g.labels) for t in derived - certified)
+    certified = _dependence_row(g, GraphKind.COVARIANCE)
+    triples = canonical_triples(g.n)
+    report = Report(len(triples))
+    wrong = [t for t, dependent in zip(triples, certified) if (t in derived) != dependent]
+    if wrong:
+        missing = sorted(t.render(g.labels) for t in wrong if t not in derived)
+        extra = sorted(t.render(g.labels) for t in wrong if t in derived)
         report.violations.append(f"missing={missing} extra={extra}")
     return report
 

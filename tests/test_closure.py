@@ -225,6 +225,29 @@ class TestSaturate:
                 assert list(got.provenance.items()) == list(want.provenance.items())
 
 
+class TestInternedTriples:
+    def test_provenance_holds_the_canonical_objects(self):
+        """Every provenance key and every dependence and independence
+        antecedent is the very object of `canonical_triples(n)`, in both
+        sweep orders, on every labeled UG of up to 4 nodes and on seeded
+        random 5- and 6-node UGs."""
+        rng = random.Random(20261019)
+        graphs = [g for n in range(1, 5) for g in all_ugs(n)]
+        graphs += [random_ug(5, rng) for _ in range(8)]
+        graphs += [random_ug(6, rng) for _ in range(3)]
+        for g in graphs:
+            canonical = {t: t for t in canonical_triples(g.n)}
+            for reverse in (False, True):
+                for t, d in saturate(g, _reverse_sweep=reverse).provenance.items():
+                    for u in (t, *d.dependencies, *d.independencies):
+                        assert canonical[u] is u, (g, reverse, u)
+
+    def test_sorted_statements_read_the_canonical_order(self):
+        for g in (g for n in range(1, 6) for g in all_ugs(n)):
+            state = saturate(g)
+            assert state.sorted_statements() == sorted(state.established, key=CITriple.sort_key)
+
+
 class TestSites:
     @pytest.mark.parametrize("n, set_count, node_count", [
         (1, 0, 0), (2, 0, 0), (3, 6, 6), (4, 84, 72), (5, 750, 550), (6, 5460, 3420),
@@ -341,6 +364,15 @@ class TestExplain:
         state = saturate(path3())
         with pytest.raises(NotEstablishedError):
             explain(state, CITriple(bit(0), bit(2), 0))
+
+    def test_triple_outside_the_graph_is_refused(self):
+        state = saturate(path3())
+        with pytest.raises(ValueError, match="^triple mentions nodes outside the graph$") as exc:
+            explain(state, CITriple(bit(0), bit(3)))
+        assert not isinstance(exc.value, NotEstablishedError)
+        # a negative mask is refused before `explain` is reached
+        with pytest.raises(ValueError, match="^node set masks must not be negative$"):
+            explain(state, CITriple(-4, 1))
 
     def test_matches_naive_renderer(self):
         """Every statement of every labeled UG of up to 4 nodes and of

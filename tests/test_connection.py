@@ -1,7 +1,7 @@
 """Single-path dependence criteria against exhaustive path enumeration."""
 
 import random
-from itertools import permutations
+from itertools import compress, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,7 @@ from covgraph import (
     iter_nodes,
 )
 from covgraph import separation
-from covgraph.separation import UG_READINGS, _unique_path, dependence_witness
+from covgraph.separation import UG_READINGS, _dependence_row, _unique_path, dependence_witness
 from covgraph.smallgraphs import all_forests, all_ugs, random_ug
 from oracles import all_simple_paths, count_paths_bruteforce, mask_of, und_neighbor_sets
 from strategies import dead_end_clique, ugs
@@ -298,11 +298,16 @@ class TestAllDependencies:
 
     @staticmethod
     def _assert_matches_witnesses(graphs):
+        # the row holds one verdict per canonical triple, by position, and
+        # the table keeps the triples the row marks
         for g in graphs:
             triples = canonical_triples(g.n)
             for kind in UG_READINGS:
-                expected = [t for t in triples if dependence_witness(g, kind, t.x, t.y, t.z)]
-                assert all_dependencies(g, kind) == expected, (kind, g)
+                row = _dependence_row(g, kind)
+                assert len(row) == len(triples) and {type(v) for v in row} <= {bool}
+                assert row == [dependence_witness(g, kind, t.x, t.y, t.z) is not None
+                               for t in triples], (kind, g)
+                assert all_dependencies(g, kind) == list(compress(triples, row))
 
     def test_matches_witnesses_exhaustive(self):
         self._assert_matches_witnesses(g for n in range(1, 6) for g in all_ugs(n))

@@ -2,7 +2,7 @@
 reading, checked against explicit path-enumeration oracles."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +22,8 @@ from covgraph import (
     sep,
 )
 from covgraph import graphs, separation
-from covgraph.separation import _independent, dependence_witness
+from covgraph.separation import (UG_READINGS, _dependence_row, _independence_row, _independent,
+                                 dependence_witness)
 from covgraph.smallgraphs import all_ugs, default_labels
 from oracles import (
     all_simple_paths,
@@ -77,6 +78,11 @@ class TestCITriple:
     def test_render(self):
         t = CITriple(bit(0), bit(2), 0)
         assert t.render(("A", "B", "C")) == "A ; C ; -"
+
+    @pytest.mark.parametrize("masks", [(-4, 1), (1, 2, -8), (1, -2)])
+    def test_rejects_negative_masks(self, masks):
+        with pytest.raises(ValueError, match="^node set masks must not be negative$"):
+            CITriple(*masks)
 
 
 class TestSep:
@@ -328,6 +334,61 @@ class TestAllIndependencies:
             all_independencies(cycle4(), GraphKind.DAG)
         with pytest.raises(ValueError, match="covariance reading"):
             all_independencies(MixedGraph.dag("AB", [("A", "B")]), COV)
+
+
+def random_dag(rng: random.Random) -> MixedGraph:
+    """DAG on 3-6 nodes with arrows from lower to higher index."""
+    n = rng.randint(3, 6)
+    dire = {(i, j) for i, j in combinations(range(n), 2) if rng.random() < 0.5}
+    return MixedGraph(n, default_labels(n), frozenset(), frozenset(dire))
+
+
+class TestVerdictRows:
+    """The rows hold one verdict per triple of `canonical_triples(n)`, by
+    position, and the `all_*` tables keep the triples their row marks."""
+
+    def test_independence_row_matches_per_triple_criterion(self):
+        rng = random.Random(20261019)
+        graphs = [g for n in range(1, 6) for g in all_ugs(n)]
+        graphs += [random_dag(rng) for _ in range(30)]
+        graphs += [random_chain_graph(rng) for _ in range(30)]
+        for g in graphs:
+            triples = canonical_triples(g.n)
+            for kind in GraphKind:
+                try:
+                    want = [ci_independent(g, kind, t.x, t.y, t.z) for t in triples]
+                except ValueError as refused:
+                    for table in (_independence_row, all_independencies):
+                        with pytest.raises(ValueError) as exc:
+                            table(g, kind)
+                        assert str(exc.value) == str(refused)
+                    continue
+                row = _independence_row(g, kind)
+                assert len(row) == len(triples) and {type(v) for v in row} <= {bool}
+                assert row == want, (kind, g)
+                assert all_independencies(g, kind) == list(compress(triples, row))
+
+    def test_checks_come_before_any_walk(self, monkeypatch):
+        # a refused size or reading neither enumerates the triples nor
+        # walks the graph
+        def walk(*_args):
+            raise AssertionError("walked before the checks")
+
+        for name in ("canonical_triples", "_independent", "_partners"):
+            monkeypatch.setattr(separation, name, walk)
+        big = MixedGraph.ug(default_labels(9))
+        for row in (_independence_row, _dependence_row):
+            with pytest.raises(SizeLimitError, match="sweep limited to 8 nodes"):
+                row(big, COV)
+        dag = MixedGraph.dag("AB", [("A", "B")])
+        for kind in UG_READINGS:
+            for row in (_independence_row, _dependence_row):
+                with pytest.raises(ValueError, match=f"^{kind.value} reading requires an "):
+                    row(dag, kind)
+        with pytest.raises(ValueError, match="^dag reading requires an acyclic directed graph$"):
+            _independence_row(cycle4(), GraphKind.DAG)
+        with pytest.raises(ValueError, match="^dependence criteria exist"):
+            _dependence_row(cycle4(), GraphKind.DAG)
 
 
 def _split_masks(n, states):

@@ -35,14 +35,16 @@ def path3():
 
 @pytest.fixture
 def drop_a_c_marginal(monkeypatch):
-    """Make the covariance independence table the checks read miss
+    """Make the covariance independence row the checks read miss
     A ; C ; - on the path A - B - C."""
-    full = covgraph.verify.all_independencies
+    full = covgraph.verify._independence_row
 
-    def table(g, kind):
-        return [t for t in full(g, kind) if t != CITriple(bit(0), bit(2))]
+    def row(g, kind):
+        verdicts = full(g, kind)
+        verdicts[canonical_triples(g.n).index(CITriple(bit(0), bit(2)))] = False
+        return verdicts
 
-    monkeypatch.setattr(covgraph.verify, "all_independencies", table)
+    monkeypatch.setattr(covgraph.verify, "_independence_row", row)
 
 
 class TestLatentDag:
