@@ -7,12 +7,18 @@ it is positive definite for every draw, and its off-diagonal zeros sit
 exactly on the non-edges.  Conditional independence i | j given K holds
 iff det(sigma[{i} | K, {j} | K]) vanishes, which the test below decides
 with a relative tolerance.
+
+`ci_test` answers one query with an LU determinant.  The sweeps read every
+determinant of a trial from one exact minor table instead (`_minors`,
+integer arithmetic by Sylvester's identity) and apply the same tolerance
+test to it; `ci_test` is the oracle tests compare that row against.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf, sqrt
 from typing import Optional, Sequence
 
@@ -157,16 +163,69 @@ def ci_test(
 
 
 def _vanishes(
-    sigma: Sequence[Sequence[float]], rows: Sequence[int], cols: Sequence[int], tol: float
+    sigma: Sequence[Sequence[float]], rows: Sequence[int], cols: Sequence[int], tol: float,
+    d: Optional[float] = None,
 ) -> bool:
     """The determinant test of `ci_test` on sigma[rows, cols], without
-    argument checks: callers pass valid indices and a valid tolerance."""
+    argument checks: callers pass valid indices and a valid tolerance.
+    `d` is that determinant when the caller has it already; by default
+    LU computes it."""
     sub = [[sigma[r][c] for c in cols] for r in rows]
-    d = det(sub)
+    if d is None:
+        d = det(sub)
     scale = 1.0
     for row in sub:
         scale *= max(map(abs, row))
     return abs(d) <= tol * scale
+
+
+@lru_cache(maxsize=None)
+def _minor_steps(n: int) -> tuple[tuple[int, int, int, tuple[tuple[int, ...], ...]], ...]:
+    """The steps of `_minors` at size n, in mask order: (K, P, kk, cells)
+    with P = K minus its top node k, kk the position of (k, k), and per
+    computed entry (a, b) the positions (ab, ba, ak, kb).  Diagonal entries
+    are computed only where a larger K reads them as a pivot."""
+    steps = []
+    for mask in range(1, 1 << n):
+        size = mask.bit_count()
+        if size > n - 2:
+            continue
+        k = mask.bit_length() - 1
+        out = [a for a in range(n) if not mask >> a & 1]
+        cells = tuple((a * n + b, b * n + a, a * n + k, k * n + b)
+                      for x, a in enumerate(out) for b in out[x + (size == n - 2):])
+        steps.append((mask, mask ^ bit(k), k * n + k, cells))
+    return tuple(steps)
+
+
+def _minors(sigma: Sequence[Sequence[float]]) -> tuple[int, list[Optional[list[int]]]]:
+    """Every minor the determinant tests of a model read, exactly.
+
+    Returns (shift, table): S = sigma * 2**shift is an integer matrix,
+    since every float is dyadic, and table[K][a * n + b] is
+    E(a, b, K) = det S[{a} | K, {b} | K] for a != b outside K with
+    |K| <= n - 2, and for a == b with |K| <= n - 3.  Each K comes from its
+    parent P = K minus its top node k by Sylvester's identity, the step of
+    Bareiss's fraction-free elimination:
+    E(a, b, K) * det S[P, P] = E(a, b, P) * E(k, k, P) - E(a, k, P) * E(k, b, P).
+    The division is exact, and det S[P, P] > 0 when sigma is positive
+    definite.  S is symmetric, so each entry is computed once for a <= b
+    and stored at both positions.
+    """
+    n = len(sigma)
+    ratios = [v.as_integer_ratio() for row in sigma for v in row]
+    shift = max((q for _p, q in ratios), default=1).bit_length() - 1
+    table: list[Optional[list[int]]] = [None] * (1 << n)
+    table[0] = [p << (shift + 1 - q.bit_length()) for p, q in ratios]
+    pivots = [1] * (1 << n)  # pivots[K] = det S[K, K]
+    for mask, parent, at, cells in _minor_steps(n):
+        e, d = table[parent], pivots[parent]
+        kk = pivots[mask] = e[at]
+        f = [0] * (n * n)
+        for ab, ba, ak, kb in cells:
+            f[ab] = f[ba] = (e[ab] * kk - e[ak] * e[kb]) // d
+        table[mask] = f
+    return shift, table
 
 
 def _graph_of(

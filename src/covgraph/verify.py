@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import prod
 from operator import ne
 from typing import Iterator
 
 from .closure import MAX_CLOSURE_NODES, RULES, ClosureState, saturate
-from .gaussian import (DEFAULT_TOL, _vanishes, require_tolerance, sample_markov_gaussian,
-                       trial_seed)
+from .gaussian import (DEFAULT_TOL, _minors, _vanishes, require_tolerance,
+                       sample_markov_gaussian, trial_seed)
 from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit, components,
                      iter_nodes, submasks)
 from .separation import (_dependence_row, _independence_row, _independent, canonical_triples,
@@ -139,15 +140,32 @@ def _trials(
 ) -> Iterator[tuple[list[bool], int]]:
     """For each trial, the determinant verdict on every (i, j, K) of
     `table` (the `pair_verdicts` of g), in table order, and the number of
-    them that disagree with the covariance criterion."""
+    them that disagree with the covariance criterion.
+
+    A verdict is `ci_test`'s tolerance test on the exact determinant,
+    read from the trial's `_minors` table.  Two implications skip the
+    row maxima: an exact zero vanishes, and a determinant above tol times
+    the product of the full rows' maxima, in the same row order, does not,
+    since that product is never below the submatrix's."""
+    n = g.n
     plan = []
     for i, j, k, _verdict in table:
         ks = list(iter_nodes(k))
-        plan.append(([i, *ks], [j, *ks]))
+        plan.append((k, i * n + j, [i, *ks], [j, *ks]))
     expected = [verdict for _i, _j, _k, verdict in table]
     for t in range(trials):
         sigma = sample_markov_gaussian(g, trial_seed(seed, t)).sigma
-        row = [_vanishes(sigma, rows, cols, tol) for rows, cols in plan]
+        shift, minors = _minors(sigma)
+        maxima = [max(map(abs, r)) for r in sigma]
+        row = []
+        for k, ij, rows, cols in plan:
+            e = minors[k][ij]
+            if e:
+                d = e / (1 << shift * len(rows))
+                row.append(abs(d) <= tol * prod(map(maxima.__getitem__, rows))
+                           and _vanishes(sigma, rows, cols, tol, d))
+            else:
+                row.append(True)
         yield row, sum(map(ne, row, expected))
 
 

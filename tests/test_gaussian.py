@@ -2,7 +2,11 @@
 recovery, faithfulness sampling."""
 
 import random
-from math import inf, nan
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, product
+from math import inf, nan, prod
+from operator import ne
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,8 @@ from covgraph import (
     GraphKind,
     MixedGraph,
     SizeLimitError,
+    all_dependencies,
+    all_independencies,
     bit,
     canonical_triples,
     cholesky,
@@ -32,6 +38,7 @@ from covgraph import (
     submasks,
     trial_seed,
 )
+from covgraph.gaussian import _minors
 from covgraph.verify import (_entries_given, _recovered, _recovery_ok, _trials,
                              corollaries_sweep, pair_verdicts)
 from covgraph.smallgraphs import connected_ugs, random_ug
@@ -318,6 +325,49 @@ class TestTrialRows:
         assert bad
         self._check_trial(g, table, seed, 23, row, bad)
 
+    def test_exact_zeros_match_criterion_on_the_tolerance_artifact_trial(self):
+        # the same trial read from its exact minor table: every exact zero
+        # sits on an independence of the graph and every nonzero minor on
+        # a dependence, while the tolerance row flips two of them
+        g = [g for n in range(1, 6) for g in connected_ugs(n)][78]
+        seed = 7919 * 78
+        table = pair_verdicts(g)
+        row, bad = list(_trials(g, table, 24, seed, DEFAULT_TOL))[23]
+        _shift, minors = _minors(sample_markov_gaussian(g, trial_seed(seed, 23)).sigma)
+        exact = [minors[k][i * g.n + j] == 0 for i, j, k, _v in table]
+        assert exact == [v for _i, _j, _k, v in table]
+        assert bad == sum(map(ne, row, exact)) == 2
+
+    def test_rows_match_ci_test_between_the_two_row_bounds(self):
+        # at this tolerance many nonzero determinants lie under tol times
+        # the full rows' maxima, where the row falls back to the submatrix
+        # maxima as ci_test reads them; both verdicts occur there
+        tol = 0.05
+        between = set()
+        for n in range(2, 5):
+            for index, g in enumerate(connected_ugs(n)):
+                table = pair_verdicts(g)
+                for t, (row, _bad) in enumerate(_trials(g, table, 3, index, tol)):
+                    model = sample_markov_gaussian(g, trial_seed(index, t))
+                    assert row == [ci_test(model, i, j, k, tol) for i, j, k, _v in table]
+                    for (i, j, k, _v), verdict in zip(table, row):
+                        rows = [i, *iter_nodes(k)]
+                        sub = [[model.sigma[r][c] for c in [j, *iter_nodes(k)]] for r in rows]
+                        full = prod(max(map(abs, model.sigma[r])) for r in rows)
+                        if 0 < abs(det(sub)) <= tol * full:
+                            between.add(verdict)
+        assert between == {True, False}
+
+    def test_trial_row_matches_ci_test_on_every_connected_five_node_graph(self):
+        graphs = list(connected_ugs(5))
+        assert len(graphs) == 728
+        for index, g in enumerate(graphs):
+            seed = 7919 * (44 + index)  # corollaries_sweep's seed for this graph
+            table = pair_verdicts(g)
+            (row, _bad), = _trials(g, table, 1, seed, DEFAULT_TOL)
+            model = sample_markov_gaussian(g, trial_seed(seed, 0))
+            assert row == [ci_test(model, i, j, k) for i, j, k, _v in table]
+
     def test_recovery_matches_reference_on_random_rows(self):
         # arbitrary verdict rows, most of which no model produces: the
         # recovered graphs often differ in components or break the
@@ -334,6 +384,102 @@ class TestTrialRows:
             same_components = len({tuple(connectivity_components(h)) for h in graphs}) == 1
             outcomes.add((same_components, self._check_recovery(g, table, row, *graphs)))
         assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def exact_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    out = Fraction(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            out = -out
+        out *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            for col in range(c, len(a)):
+                a[r][col] -= f * a[c][col]
+    return out
+
+
+@lru_cache(maxsize=None)
+def integer_models() -> tuple:
+    """(graph, sigma) for every positive definite 4 x 4 sigma with diagonal
+    2 and off-diagonal entries in {-1, 0, 1}, the graph joining the nonzero
+    entries; positive definiteness is decided exactly, by the leading
+    principal minors."""
+    pairs = list(combinations(range(4), 2))
+    models = []
+    for entries in product((-1.0, 0.0, 1.0), repeat=len(pairs)):
+        sigma = [[2.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+        for (i, j), v in zip(pairs, entries):
+            sigma[i][j] = sigma[j][i] = v
+        if all(exact_det([row[:m] for row in sigma[:m]]) > 0 for m in range(1, 5)):
+            g = MixedGraph(4, tuple("ABCD"),
+                           frozenset(p for p, v in zip(pairs, entries) if v), frozenset())
+            models.append((g, sigma))
+    return tuple(models)
+
+
+class TestMinors:
+    """`_minors` gives every determinant a trial's tests read, exactly."""
+
+    @staticmethod
+    def _check_against_fractions(sigma):
+        n = len(sigma)
+        shift, table = _minors(sigma)
+        checked = 0
+        for k in range(1 << n):
+            if k.bit_count() > n - 2:
+                continue
+            ks = list(iter_nodes(k))
+            outside = [a for a in range(n) if not k >> a & 1]
+            for a in outside:
+                for b in outside:
+                    if a == b and k.bit_count() == n - 2:
+                        continue  # no larger K reads this pivot
+                    sub = [[sigma[r][c] for c in [b, *ks]] for r in [a, *ks]]
+                    assert table[k][a * n + b] == exact_det(sub) * 2 ** (shift * (len(ks) + 1))
+                    checked += 1
+        return checked
+
+    def test_table_matches_fraction_determinants(self):
+        rng = random.Random(20261019)
+        checked = 0
+        for n in range(2, 7):
+            for _ in range(12):
+                g = random_ug(n, rng)
+                checked += self._check_against_fractions(
+                    sample_markov_gaussian(g, rng.randrange(2**32)).sigma)
+        assert len(integer_models()) == 393
+        for _g, sigma in integer_models():
+            checked += self._check_against_fractions(sigma)
+        assert checked > 15_000
+
+    def test_graph_verdicts_are_sound_on_unfaithful_integer_models(self):
+        # exact cancellations, which sampled floats never produce: a model
+        # is unfaithful when a pair the graph reads dependent has a
+        # vanishing minor.  A dependence the criterion reads must still
+        # show as some nonzero E(i, j, Z), an independence as all zero.
+        unfaithful = 0
+        for g, sigma in integer_models():
+            _shift, minors = _minors(sigma)
+
+            def vanishes(t):
+                return all(minors[t.z][i * 4 + j] == 0
+                           for i in iter_nodes(t.x) for j in iter_nodes(t.y))
+
+            unfaithful += any(minors[k][i * 4 + j] == 0 and not v
+                              for i, j, k, v in pair_verdicts(g))
+            independent = set(all_independencies(g, COV))
+            for t in all_dependencies(g, COV):
+                assert not vanishes(t), t.render(g.labels)
+            for t in canonical_triples(4):
+                assert (t in independent) <= vanishes(t), t.render(g.labels)
+        assert unfaithful == 72
 
 
 class TestFaithfulness:
