@@ -23,7 +23,7 @@ from .gaussian import (
     require_tolerance,
     sample_markov_gaussian,
 )
-from .graphs import GraphKind, MixedGraph, format_graph, iter_nodes, parse_graph
+from .graphs import GraphKind, GraphParseError, MixedGraph, format_graph, iter_nodes, parse_graph
 from .separation import UG_READINGS, CITriple, ci_independent, dependence_witness
 from .transforms import latent_dag
 from .verify import (
@@ -43,8 +43,17 @@ EXIT_BROKEN_PIPE = 128 + 13  # SIGPIPE
 
 
 def _load_graph(path: str) -> MixedGraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the data after any BOM.  Lines are counted as
+        # parse_graph counts them, with "#" standing in for the bad byte.
+        before = exc.object[:exc.start].decode("utf-8")
+        raise GraphParseError(f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}",
+                              len((before + "#").splitlines())) from None
+    return parse_graph(text)
 
 
 def _labels_arg(value: str | None) -> list[str]:

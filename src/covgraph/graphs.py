@@ -127,19 +127,21 @@ class MixedGraph:
             raise ValueError("label count does not match node count")
         if len(set(self.labels)) != self.n:
             raise ValueError("node labels must be unique")
-        und = [0] * self.n
+        n = self.n
+        und = [0] * n
         for i, j in self.undirected:
-            # the endpoint check comes first: a negative index would
-            # wrap around the mask list instead of raising
-            self._check_endpoints(i, j)
-            if not i < j:
+            if not 0 <= i < j < n:
+                # the endpoint check comes first: a negative index would
+                # wrap around the mask list instead of raising
+                self._check_endpoints(i, j)
                 raise ValueError(f"undirected pair ({i}, {j}) not normalized")
             und[i] |= 1 << j
             und[j] |= 1 << i
-        pa = [0] * self.n
+        pa = [0] * n
         any_ = list(und)
         for i, j in self.directed:
-            self._check_endpoints(i, j)
+            if not (0 <= i < n and 0 <= j < n and i != j):
+                self._check_endpoints(i, j)
             if (und[i] >> j) & 1:
                 raise ValueError(
                     f"both an undirected edge and an arrow between "
@@ -220,41 +222,42 @@ def parse_graph(text: str) -> MixedGraph:
     pairs_seen: set[tuple[int, int]] = set()
 
     def declare(lab: str, line_no: int) -> int:
-        if lab not in index:
-            if "," in lab or lab == "-":
-                raise GraphParseError(f"invalid node label {lab!r}", line_no)
-            if len(labels) >= MAX_NODES:
-                raise GraphParseError(
-                    f"more than {MAX_NODES} nodes (at {lab!r})", line_no
-                )
-            index[lab] = len(labels)
-            labels.append(lab)
-        return index[lab]
+        """Add a label not seen yet; the caller looks it up first."""
+        if "," in lab or lab == "-":
+            raise GraphParseError(f"invalid node label {lab!r}", line_no)
+        if len(labels) >= MAX_NODES:
+            raise GraphParseError(f"more than {MAX_NODES} nodes (at {lab!r})", line_no)
+        index[lab] = i = len(labels)
+        labels.append(lab)
+        return i
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
-        if tokens[0] == "node" and len(tokens) == 2:
-            declare(tokens[1], line_no)
-        elif len(tokens) == 3 and tokens[1] in ("--", "->"):
-            a = declare(tokens[0], line_no)
-            b = declare(tokens[2], line_no)
+        if len(tokens) == 3 and tokens[1] in ("--", "->"):
+            ta, op, tb = tokens
+            a = index.get(ta)
+            if a is None:
+                a = declare(ta, line_no)
+            b = index.get(tb)
+            if b is None:
+                b = declare(tb, line_no)
             if a == b:
-                raise GraphParseError(f"self-loop at {tokens[0]!r}", line_no)
-            pair = (min(a, b), max(a, b))
+                raise GraphParseError(f"self-loop at {ta!r}", line_no)
+            pair = (a, b) if a < b else (b, a)
             if pair in pairs_seen:
-                raise GraphParseError(
-                    f"duplicate edge between {tokens[0]!r} and {tokens[2]!r}", line_no
-                )
+                raise GraphParseError(f"duplicate edge between {ta!r} and {tb!r}", line_no)
             pairs_seen.add(pair)
-            if tokens[1] == "--":
+            if op == "--":
                 und.add(pair)
             else:
                 dire.add((a, b))
-        else:
-            raise GraphParseError(f"unrecognized statement {line!r}", line_no)
+        elif len(tokens) == 2 and tokens[0] == "node":
+            if tokens[1] not in index:
+                declare(tokens[1], line_no)
+        elif tokens:
+            raise GraphParseError(f"unrecognized statement {line.strip()!r}", line_no)
 
     return MixedGraph(len(labels), tuple(labels), frozenset(und), frozenset(dire))
 
@@ -282,7 +285,9 @@ def components(adj: Sequence[NodeSet], within: NodeSet) -> list[NodeSet]:
     inside it, ordered by smallest member."""
     comps = []
     while within:
-        comp = reachable(adj, within & -within, within)
+        low = within & -within
+        # a node with no neighbour inside `within` is its own component
+        comp = reachable(adj, low, within) if adj[low.bit_length() - 1] & within else low
         comps.append(comp)
         within &= ~comp
     return comps

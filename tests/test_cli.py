@@ -109,6 +109,32 @@ class TestQueryCommands:
         assert out == ""
         assert "line 2: invalid node label" in err
 
+    @pytest.mark.parametrize("data, where", [
+        (b"A -- B\nB -- \xff\n", "line 2: invalid UTF-8 byte 0xff"),
+        (b"\xef\xbb\xbfA -- B\r\nB -- C\r\n\xfe -- D\r\n", "line 3: invalid UTF-8 byte 0xfe"),
+        (b"A -- B\rB -- C\r\xff\r", "line 3: invalid UTF-8 byte 0xff"),
+        (b"A -- B\nB -- C\xe2\x82", "line 2: invalid UTF-8 byte 0xe2"),
+    ])
+    def test_invalid_utf8_names_line(self, capsys, tmp_path, data, where):
+        # lines are counted as parse_graph counts them: CRLF and a lone CR
+        # end a line too, and a BOM does not shift the count
+        p = tmp_path / "bad.g"
+        p.write_bytes(data)
+        code, out, err = run_cli(capsys, ["indep", "-g", str(p), "-X", "A", "-Y", "B"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {where}\n"
+
+    def test_bom_and_crlf_accepted(self, capsys, tmp_path):
+        # without the BOM stripped, the first label would read '\ufeffA'
+        # and A-B-C would be no path
+        p = tmp_path / "bom.g"
+        p.write_bytes(b"\xef\xbb\xbf" + CYCLE4.replace("\n", "\r\n").encode())
+        code, out, _ = run_cli(capsys, ["dep", "-g", str(p),
+                                        "-X", "A", "-Y", "C", "-Z", "B"])
+        assert code == 0
+        assert out.strip() == "DEPENDENT, witness A-B-C"
+
     def test_dash_label_through_equals(self, capsys, tmp_path):
         # `-X -a` would read `-a` as a flag; `-X=-a` passes it as a label
         p = tmp_path / "dash.g"

@@ -4,7 +4,7 @@ disjoint splits, moralization, chain-graph validity."""
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covgraph import (
@@ -19,7 +19,7 @@ from covgraph import (
     parse_graph,
     submasks,
 )
-from covgraph.graphs import disjoint_splits
+from covgraph.graphs import MAX_NODES, disjoint_splits
 from covgraph.separation import _moral_adj_within
 from oracles import (
     dag_is_acyclic_dfs,
@@ -34,6 +34,100 @@ from strategies import dags, mixed_graphs, ugs
 
 def cycle4():
     return MixedGraph.ug("ABCD", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
+
+
+def reference_parse_graph(text: str) -> MixedGraph:
+    """The plain per-token parser that `parse_graph` must agree with, error
+    for error: kept here, not in oracles.py, because the benchmark workers
+    import oracles.py."""
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    und: set[tuple[int, int]] = set()
+    dire: set[tuple[int, int]] = set()
+    pairs_seen: set[tuple[int, int]] = set()
+
+    def declare(lab: str, line_no: int) -> int:
+        if lab not in index:
+            if "," in lab or lab == "-":
+                raise GraphParseError(f"invalid node label {lab!r}", line_no)
+            if len(labels) >= MAX_NODES:
+                raise GraphParseError(
+                    f"more than {MAX_NODES} nodes (at {lab!r})", line_no
+                )
+            index[lab] = len(labels)
+            labels.append(lab)
+        return index[lab]
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if tokens[0] == "node" and len(tokens) == 2:
+            declare(tokens[1], line_no)
+        elif len(tokens) == 3 and tokens[1] in ("--", "->"):
+            a = declare(tokens[0], line_no)
+            b = declare(tokens[2], line_no)
+            if a == b:
+                raise GraphParseError(f"self-loop at {tokens[0]!r}", line_no)
+            pair = (min(a, b), max(a, b))
+            if pair in pairs_seen:
+                raise GraphParseError(
+                    f"duplicate edge between {tokens[0]!r} and {tokens[2]!r}", line_no
+                )
+            pairs_seen.add(pair)
+            if tokens[1] == "--":
+                und.add(pair)
+            else:
+                dire.add((a, b))
+        else:
+            raise GraphParseError(f"unrecognized statement {line!r}", line_no)
+
+    return MixedGraph(len(labels), tuple(labels), frozenset(und), frozenset(dire))
+
+
+# Pieces of graph texts: labels the grammar rejects ("a,b", "-") or that
+# look like syntax ("node", "--x", "#", "x#y"), the two edge tokens and an
+# unknown one, and the whitespace and line ends a file may use.  Repeats
+# weight the pieces, so that most texts get past their first line.
+TEXT_LABELS = ["A", "B", "C", "D", "E", "F", "node", "--x", "N0"] * 6 + ["a,b", "-", "#", "x#y"]
+TEXT_OPS = ["--", "->"] * 6 + ["=>"]
+
+
+@st.composite
+def graph_texts(draw):
+    # a few pre-declared labels, or about 64, so that the node cap is
+    # reached by a declaration, by either edge endpoint and by a bad label
+    fill = draw(st.one_of(st.integers(0, 3), st.integers(MAX_NODES - 2, MAX_NODES + 1)))
+    lines = [f"node N{i}" for i in range(fill)]
+    label = st.sampled_from(TEXT_LABELS)
+    ends: list[list[str]] = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            stmt = draw(st.lists(st.sampled_from(TEXT_LABELS + TEXT_OPS), max_size=4))
+        elif kind == 1:
+            stmt = ["node", draw(label)]
+        else:
+            # an edge between new ends, or a repeated or mixed edge
+            pair = draw(st.sampled_from(ends)) if ends and kind == 2 else [draw(label), draw(label)]
+            if draw(st.booleans()):
+                pair = pair[::-1]
+            ends.append(pair)
+            stmt = [pair[0], draw(st.sampled_from(TEXT_OPS)), pair[1]]
+        gap = draw(st.sampled_from([" ", "\t", " \t  "]))
+        line = draw(st.sampled_from(["", " ", "\t"])) + gap.join(stmt)
+        line += draw(st.sampled_from(["", gap, gap + "# tail -- comment", "#"]))
+        lines.append(line)
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+def parse_outcome(parse, text):
+    try:
+        g = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return g, g.und_adj, g.pa_adj, g.any_adj
 
 
 class TestMaskHelpers:
@@ -115,6 +209,16 @@ class TestParse:
     @given(mixed_graphs())
     def test_format_roundtrip(self, g):
         assert parse_graph(format_graph(g)) == g
+
+    @given(graph_texts())
+    @example("A -- B\nnode A\nnode C\n")
+    @example("\tA => B  # comment\r\n")
+    @example("".join(f"node N{i}\n" for i in range(MAX_NODES)) + "N0 -- a,b\n")
+    @settings(max_examples=200)
+    def test_matches_reference_parser(self, text):
+        # the same graph, adjacency masks included, or the same error
+        # type, message and line
+        assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse_graph, text)
 
 
 class TestAncestors:
@@ -253,6 +357,19 @@ class TestMixedGraphValidation:
     @given(mixed_graphs())
     def test_adjacency_masks_match_edge_sets(self, g):
         assert (g.und_adj, g.pa_adj, g.any_adj) == naive_adjacency_masks(g)
+
+    @pytest.mark.parametrize("field, pair, message", [
+        ("undirected", (1, 1), "self-loop at node B"),
+        ("directed", (1, 1), "self-loop at node B"),
+        ("undirected", (2, 1), "edge endpoint outside 0..1"),
+        ("directed", (2, 1), "edge endpoint outside 0..1"),
+        ("undirected", (1, 0), "undirected pair (1, 0) not normalized"),
+    ])
+    def test_check_order(self, field, pair, message):
+        # an endpoint out of range or equal is named before the pair order
+        with pytest.raises(ValueError) as info:
+            MixedGraph(2, ("A", "B"), **{field: frozenset({pair})})
+        assert str(info.value) == message
 
     def test_rejects_unnormalized_pair(self):
         with pytest.raises(ValueError):
