@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import compress
 
 from .graphs import (GraphKind, MixedGraph, SizeLimitError, bit, disjoint_splits,
                      format_nodeset, iter_nodes)
 from .separation import CITriple, _independence_row, canonical_triples, check_triple
 
 RULE_BASE = "base"
-RULE_SYMMETRY = "symmetry"  # absorbed by storing both orders of X and Y
+RULE_SYMMETRY = "symmetry"  # absorbed: both orders of X and Y have one position
 RULE_DECOMPOSITION = "decomposition"
 RULE_WEAK_UNION = "weak-union"
 RULE_CONTRACTION1 = "contraction1"
@@ -79,30 +78,36 @@ class ClosureState:
 
 
 @lru_cache(maxsize=None)
+def _positions(n: int) -> dict[int, int]:
+    """The position in `canonical_triples(n)` of the statement (X, Y, Z),
+    keyed by `x | y << n | z << 2*n` under both orders of X and Y."""
+    n2 = 2 * n
+    return {k: p for p, t in enumerate(canonical_triples(n))
+            for k in (t.x | t.y << n | t.z << n2, t.y | t.x << n | t.z << n2)}
+
+
+@lru_cache(maxsize=None)
 def _sites(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The statement keys each rule site reads, the key of (X, Y, Z) being
-    `x | y << n | z << 2*n`.
+    """The canonical positions of the statements each rule site reads.
 
     Set sites, one per (X, Y, Z, W) with X, Y, W nonempty and X, Y, Z, W
-    disjoint: the keys of (X,Y,Z), (X,Y,ZW), (X,YW,Z), (X,W,Z), (X,W,ZY).
+    disjoint: (X,Y,Z), (X,Y,ZW), (X,YW,Z), (X,W,Z), (X,W,ZY).
     Node sites, one per (X, Y, Z, K) with X, Y nonempty, K a single node,
-    all disjoint: the keys of (X,K,Z), (K,Y,Z), (X,Y,Z), (X,Y,ZK).
-    Equal keys are interned to one int object, which keeps the tables small.
+    all disjoint: (X,K,Z), (K,Y,Z), (X,Y,Z), (X,Y,ZK).
     """
     n2 = 2 * n
-    interned: dict[int, int] = {}
+    positions = _positions(n)
 
-    def key(x: int, y: int, z: int) -> int:
-        k = x | y << n | z << n2
-        return interned.setdefault(k, k)
+    def pos(x: int, y: int, z: int) -> int:
+        return positions[x | y << n | z << n2]
 
     set_sites = tuple(
-        (key(x, y, z), key(x, y, z | w), key(x, y | w, z), key(x, w, z), key(x, w, z | y))
+        (pos(x, y, z), pos(x, y, z | w), pos(x, y | w, z), pos(x, w, z), pos(x, w, z | y))
         for x, y, z, w, _rest in disjoint_splits(n, 5)
         if x and y and w
     )
     node_sites = tuple(
-        (key(x, k, z), key(k, y, z), key(x, y, z), key(x, y, z | k))
+        (pos(x, k, z), pos(k, y, z), pos(x, y, z), pos(x, y, z | k))
         for x, y, z, rest in disjoint_splits(n, 4)
         if x and y
         for k in map(bit, iter_nodes(rest))
@@ -110,24 +115,12 @@ def _sites(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], 
     return set_sites, node_sites
 
 
-def _keys(t: CITriple, n: int) -> tuple[int, int]:
-    """The statement keys of t (see `_sites`) under both orders of X and Y."""
-    z = t.z << 2 * n
-    return t.x | t.y << n | z, t.y | t.x << n | z
-
-
-@lru_cache(maxsize=None)
-def _triples(n: int) -> dict[int, CITriple]:
-    """The triple of each statement key: both orders of X and Y map to the
-    one object in `canonical_triples(n)`, so the closure builds no triple
-    of its own."""
-    return {k: t for t in canonical_triples(n) for k in _keys(t, n)}
-
-
 def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
     """Least fixpoint of the nine rules over the dependence base.
 
-    `_reverse_sweep` flips the split and rule application order; the
+    A statement is its position in `canonical_triples(g.n)`, so each
+    independence antecedent is one entry of the covariance independence
+    row.  `_reverse_sweep` flips the split and rule application order; the
     resulting established set must not change (only provenance may).
     """
     if g.directed:
@@ -135,22 +128,22 @@ def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
     if g.n > MAX_CLOSURE_NODES:
         raise SizeLimitError(f"closure limited to {MAX_CLOSURE_NODES} nodes")
 
-    # Statements are int keys (see `_sites`), stored under both orders of
-    # X and Y, so no lookup has to put a triple into canonical form first.
+    # est[p]: statement p is in the closure; indep[p]: the graph reads it
+    # independent.  `provenance` keeps first derivations in the order made.
     n = g.n
-    triple = _triples(n).__getitem__
+    triple = canonical_triples(n).__getitem__
 
-    def add(k, rule, deps, indeps) -> None:
-        t = triple(k)
-        est.update(_keys(t, n))
-        provenance[t] = Derivation(rule, tuple(map(triple, deps)), tuple(map(triple, indeps)))
+    def add(p, rule, deps, indeps) -> None:
+        est[p] = True
+        provenance[triple(p)] = Derivation(rule, tuple(map(triple, deps)),
+                                           tuple(map(triple, indeps)))
 
-    row = _independence_row(g, GraphKind.COVARIANCE)
-    indep = {k for t in compress(canonical_triples(n), row) for k in _keys(t, n)}
-    est: set[int] = set()
+    indep = _independence_row(g, GraphKind.COVARIANCE)
+    est = [False] * len(indep)
     provenance: dict[CITriple, Derivation] = {}
+    positions = _positions(n)
     for i, j in g.undirected:
-        add(bit(i) | bit(j) << n, RULE_BASE, (), ())
+        add(positions[bit(i) | bit(j) << n], RULE_BASE, (), ())
 
     set_sites, node_sites = _sites(n)
     if _reverse_sweep:
@@ -162,31 +155,31 @@ def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
     # nothing ends the fixpoint.
     sweeps = 0
     size = -1
-    while size != len(est):
-        size = len(est)
+    while size != len(provenance):
+        size = len(provenance)
         sweeps += 1
         for small, moved, wide, xwz, xwzy in set_sites:
-            if wide not in est:
-                if small in est:
+            if not est[wide]:
+                if est[small]:
                     add(wide, RULE_DECOMPOSITION, (small,), ())
-                elif moved in est:
+                elif est[moved]:
                     add(wide, RULE_WEAK_UNION, (moved,), ())
                 else:
                     continue
-            if moved in indep:
-                if xwz not in est:
+            if indep[moved]:
+                if not est[xwz]:
                     add(xwz, RULE_CONTRACTION1, (wide,), (moved,))
-                if xwzy not in est:
+                if not est[xwzy]:
                     add(xwzy, RULE_INTERSECTION, (wide,), (moved,))
-            if xwz in indep and moved not in est:
+            if indep[xwz] and not est[moved]:
                 add(moved, RULE_CONTRACTION2, (wide,), (xwz,))
-            if small in indep and xwz not in est:
+            if indep[small] and not est[xwz]:
                 add(xwz, RULE_COMPOSITION, (wide,), (small,))
         for first, second, xyz, xyzk in node_sites:
-            if first in est and second in est:
-                if xyz in indep and xyzk not in est:
+            if est[first] and est[second]:
+                if indep[xyz] and not est[xyzk]:
                     add(xyzk, RULE_WEAK_TRANSITIVITY1, (first, second), (xyz,))
-                if xyzk in indep and xyz not in est:
+                if indep[xyzk] and not est[xyz]:
                     add(xyz, RULE_WEAK_TRANSITIVITY2, (first, second), (xyzk,))
 
     return ClosureState(g, frozenset(provenance), provenance, sweeps)

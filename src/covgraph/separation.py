@@ -206,6 +206,10 @@ class PathWitness:
         return self.nodes[-1]
 
     def check(self, g: MixedGraph) -> None:
+        if len(self.nodes) < 2:
+            raise ValueError("a path needs at least two nodes")
+        if not all(0 <= v < g.n for v in self.nodes):
+            raise ValueError("path mentions nodes outside the graph")
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("path nodes must be distinct")
         for u, v in zip(self.nodes, self.nodes[1:]):

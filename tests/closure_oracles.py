@@ -1,6 +1,6 @@
-"""The closure references: the tuple-keyed engine that the int-keyed
-`saturate` must match, and the plain recursive renderers that the
-memoized `explain` and `explain --json` must match.
+"""The closure references: the tuple-keyed engine that the
+position-indexed `saturate` must match, and the plain recursive
+renderers that the memoized `explain` and `explain --json` must match.
 
 They live apart from `oracles.py` because the benchmark worker imports that
 module: compiling the engine there raised the worker's peak RSS on the

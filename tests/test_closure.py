@@ -28,6 +28,7 @@ from covgraph import (
 from covgraph import verify
 from covgraph.closure import (RULES, RULE_BASE, RULE_WEAK_TRANSITIVITY1, ClosureState, Derivation,
                               _sites)
+from covgraph.graphs import disjoint_splits
 from covgraph.smallgraphs import all_ugs, random_ug
 from covgraph.verify import MAX_FAILURES_KEPT, _closure_report, theorems_sweep
 from closure_oracles import naive_explain, naive_saturate
@@ -261,16 +262,25 @@ class TestSites:
             n * (4**(n - 1) - 2 * 3**(n - 1) + 2**(n - 1))
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_keys_decode_to_disjoint_masks(self, n):
+    def test_positions_name_each_role_of_its_site(self, n):
+        """Each site, rebuilt from `disjoint_splits` in `_sites`'s order,
+        holds the canonical position of the triple each role names."""
+        triples = canonical_triples(n)
         set_sites, node_sites = _sites(n)
-        full = (1 << n) - 1
-        seen: dict[int, int] = {}
-        for key in (k for site in set_sites + node_sites for k in site):
-            x, y, z = key & full, key >> n & full, key >> 2 * n
-            assert x and y and key < 1 << 3 * n
-            assert not (x & y or x & z or y & z)
-            # equal keys are one interned int object
-            assert seen.setdefault(key, id(key)) == id(key)
+        want_set = [
+            (CITriple(x, y, z), CITriple(x, y, z | w), CITriple(x, y | w, z),
+             CITriple(x, w, z), CITriple(x, w, z | y))
+            for x, y, z, w, _rest in disjoint_splits(n, 5)
+            if x and y and w
+        ]
+        want_node = [
+            (CITriple(x, k, z), CITriple(k, y, z), CITriple(x, y, z), CITriple(x, y, z | k))
+            for x, y, z, rest in disjoint_splits(n, 4)
+            if x and y
+            for k in map(bit, iter_nodes(rest))
+        ]
+        assert [tuple(triples[p] for p in site) for site in set_sites] == want_set
+        assert [tuple(triples[p] for p in site) for site in node_sites] == want_node
 
 
 def first_rule_histogram(reverse: bool) -> dict[str, int]:

@@ -57,6 +57,18 @@ class TestPathWitness:
         with pytest.raises(ValueError):
             PathWitness((0, 1, 0)).check(cycle4())
 
+    @pytest.mark.parametrize("nodes", [(-1, 2), (0, -1), (7, 0), (0, 1, 4)])
+    def test_check_rejects_nodes_outside_the_graph(self, nodes):
+        # on A-B-C-D, und_adj[-1] would be D's row, which has C
+        g = MixedGraph.ug("ABCD", [("A", "B"), ("B", "C"), ("C", "D")])
+        with pytest.raises(ValueError, match="outside the graph"):
+            PathWitness(nodes).check(g)
+
+    @pytest.mark.parametrize("nodes", [(), (1,)])
+    def test_check_rejects_paths_shorter_than_an_edge(self, nodes):
+        with pytest.raises(ValueError, match="at least two nodes"):
+            PathWitness(nodes).check(cycle4())
+
 
 class TestCountPaths:
     """The unique-path test against the brute-force path count."""

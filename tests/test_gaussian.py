@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import inf, nan, prod
-from operator import ne
+from operator import and_, gt, le, mul, ne
 
 import pytest
 from hypothesis import given, settings
@@ -39,9 +39,10 @@ from covgraph import (
     trial_seed,
 )
 from covgraph.gaussian import _minors
+from covgraph.separation import _dependence_row, _independence_row
 from covgraph.verify import (_entries_given, _recovered, _recovery_ok, _trials,
                              corollaries_sweep, pair_verdicts)
-from covgraph.smallgraphs import connected_ugs, random_ug
+from covgraph.smallgraphs import all_ugs, connected_ugs, random_ug
 from oracles import det_cofactor, inverse_adjugate
 
 COV = GraphKind.COVARIANCE
@@ -480,6 +481,83 @@ class TestMinors:
             for t in canonical_triples(4):
                 assert (t in independent) <= vanishes(t), t.render(g.labels)
         assert unfaithful == 72
+
+
+
+def vanishing_row(sigma) -> list[bool]:
+    """For each triple of `canonical_triples(n)`, by position, whether every
+    E(i, j, Z) with i in X, j in Y is exactly zero, read from `_minors`
+    of an integer sigma."""
+    n = len(sigma)
+    shift, minors = _minors(sigma)
+    assert shift == 0
+    return [all(minors[t.z][i * n + j] == 0 for i in iter_nodes(t.x) for j in iter_nodes(t.y))
+            for t in canonical_triples(n)]
+
+
+LOADINGS = (-2, -1, 1, 2)
+
+
+def latent_sigma(g, rng) -> list[list[int]]:
+    """I + sum over the edges of g of a latent common cause's loadings
+    lambda lambda^T, with the two loadings of each edge in {+-1, +-2}."""
+    sigma = [[int(i == j) for j in range(g.n)] for i in range(g.n)]
+    for i, j in sorted(g.undirected):
+        li, lj = rng.choice(LOADINGS), rng.choice(LOADINGS)
+        sigma[i][i] += li * li
+        sigma[j][j] += lj * lj
+        sigma[i][j] = sigma[j][i] = li * lj
+    return sigma
+
+
+def sem_sigma(g, rng) -> list[list[int]]:
+    """(I - B)^-1 (I - B)^-T of the linear SEM X = BX + e with unit noise
+    and a weight in {+-1, +-2} on each arrow of an index-ordered DAG."""
+    a = [[int(i == j) for j in range(g.n)] for i in range(g.n)]  # a = (I - B)^-1
+    for tail, head in sorted(g.directed):
+        w = rng.choice(LOADINGS)
+        a[head] = [h + w * t for h, t in zip(a[head], a[tail])]
+    return [[sum(map(mul, r, s)) for s in a] for r in a]
+
+
+class TestExactLinearModels:
+    """Integer models whose every minor `_minors` reads exactly: the
+    graph's verdicts must hold in every draw, faithful or not.  A draw is
+    unfaithful when some triple vanishes that the graph does not read
+    independent."""
+
+    def test_latent_common_cause_models_obey_the_covariance_graph(self):
+        rng = random.Random(20261020)
+        draws = [(g, 5) for n in range(2, 5) for g in all_ugs(n)]
+        draws += [(random_ug(5, rng), 3) for _ in range(60)]
+        models = triples = unfaithful = 0
+        for g, count in draws:
+            independent = _independence_row(g, COV)
+            dependent = _dependence_row(g, COV)
+            for _ in range(count):
+                zero = vanishing_row(latent_sigma(g, rng))
+                assert all(map(le, independent, zero)), g
+                assert not any(map(and_, dependent, zero)), g
+                models += 1
+                triples += len(zero)
+                unfaithful += any(map(gt, zero, independent))
+        assert (models, triples, unfaithful) == (550, 69_270, 16)
+
+    def test_linear_sem_models_obey_d_separation(self):
+        rng = random.Random(20261021)
+        dags = [MixedGraph(n, g.labels, frozenset(), g.undirected)
+                for n in range(2, 5) for g in all_ugs(n)]
+        models = triples = unfaithful = 0
+        for g in dags:
+            separated = [ci_independent(g, GraphKind.DAG, t.x, t.y, t.z)
+                         for t in canonical_triples(g.n)]
+            for _ in range(3):
+                zero = vanishing_row(sem_sigma(g, rng))
+                assert all(map(le, separated, zero)), g
+                models += 1
+                triples += len(zero)
+                unfaithful += any(map(gt, zero, separated))
+        assert (models, triples, unfaithful) == (222, 10_782, 42)
 
 
 class TestFaithfulness:
