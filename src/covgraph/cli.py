@@ -16,13 +16,7 @@ import sys
 from typing import Sequence
 
 from .closure import explain, saturate
-from .gaussian import (
-    DEFAULT_TOL,
-    dump_model,
-    nd_dimension,
-    require_tolerance,
-    sample_markov_gaussian,
-)
+from .gaussian import dump_model, nd_dimension, sample_markov_gaussian
 from .graphs import GraphKind, GraphParseError, MixedGraph, format_graph, iter_nodes, parse_graph
 from .separation import UG_READINGS, CITriple, ci_independent, dependence_witness
 from .transforms import latent_dag
@@ -171,17 +165,17 @@ VERIFY_SCOPES = {
     "latent": (latent_sweep, {"n_max": "n_max"}),
     "forest": (forest_sweep, {"n_max": "n_max"}),
     "corollaries": (corollaries_sweep,
-                    {"n_max": "n_max", "trials": "trials", "seed": "seed", "tol": "tol"}),
+                    {"n_max": "n_max", "trials": "trials", "seed": "seed"}),
     "all": (full_verification,
             {"n_max": "n_max", "graphs": "random_graphs", "trials": "trials",
-             "seed": "seed", "tol": "tol"}),
+             "seed": "seed"}),
 }
 
 
 def _cmd_verify(args) -> int:
     sweep, reads = VERIFY_SCOPES[args.scope]
     params = {}
-    for flag in ("n_max", "seed", "trials", "graphs", "tol"):
+    for flag in ("n_max", "seed", "trials", "graphs"):
         value = getattr(args, flag)
         if value is None:
             continue
@@ -207,7 +201,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gaussian(args) -> int:
-    require_tolerance(args.tol)
     g = _load_graph(args.graph)
     model = sample_markov_gaussian(g, args.seed)
     payload = {
@@ -226,7 +219,7 @@ def _cmd_gaussian(args) -> int:
     ]
     code = EXIT_HOLDS
     if args.trials:
-        rep = faithfulness_report(g, args.trials, args.seed, args.tol)
+        rep = faithfulness_report(g, args.trials, args.seed)
         payload["faithfulness"] = rep.to_dict()
         text_parts.append(
             f"faithful trials: {rep.faithful_trials}/{rep.trials} "
@@ -305,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", type=int, default=None,
                    help="random graphs of the theorems sweep under "
                         "--scope all (default 200)")
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -313,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_gaussian)
 
     p = subs.add_parser("latent", help="latent common-cause DAG of a UG")

@@ -5,13 +5,13 @@ matrix.  Sampling draws diagonal entries from (n-0.5, n+0.5) and edge
 entries from [-1, 1]: the matrix is then strictly diagonally dominant, so
 it is positive definite for every draw, and its off-diagonal zeros sit
 exactly on the non-edges.  Conditional independence i | j given K holds
-iff det(sigma[{i} | K, {j} | K]) vanishes, which the test below decides
-with a relative tolerance.
+iff det(sigma[{i} | K, {j} | K]) vanishes.
 
-`ci_test` answers one query with an LU determinant.  The sweeps read every
-determinant of a trial from one exact minor table instead (`_minors`,
-integer arithmetic by Sylvester's identity) and apply the same tolerance
-test to it; `ci_test` is the oracle tests compare that row against.
+`ci_test` answers one query with an LU determinant and a relative
+tolerance.  The sweeps read every determinant of a trial from one exact
+minor table instead (`_minors`, integer arithmetic by Sylvester's
+identity) and take an exact zero as the verdict; `ci_test` is the oracle
+tests compare that row against.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, sqrt
+from math import inf, prod, sqrt
 from typing import Optional, Sequence
 
 from .graphs import MixedGraph, NodeSet, bit, iter_nodes
@@ -159,24 +159,8 @@ def ci_test(
     if k & (bit(i) | bit(j)) or k >> n:
         raise ValueError("K must avoid i, j and stay inside the model")
     ks = list(iter_nodes(k))
-    return _vanishes(model.sigma, [i, *ks], [j, *ks], tol)
-
-
-def _vanishes(
-    sigma: Sequence[Sequence[float]], rows: Sequence[int], cols: Sequence[int], tol: float,
-    d: Optional[float] = None,
-) -> bool:
-    """The determinant test of `ci_test` on sigma[rows, cols], without
-    argument checks: callers pass valid indices and a valid tolerance.
-    `d` is that determinant when the caller has it already; by default
-    LU computes it."""
-    sub = [[sigma[r][c] for c in cols] for r in rows]
-    if d is None:
-        d = det(sub)
-    scale = 1.0
-    for row in sub:
-        scale *= max(map(abs, row))
-    return abs(d) <= tol * scale
+    sub = [[model.sigma[r][c] for c in [j, *ks]] for r in [i, *ks]]
+    return abs(det(sub)) <= tol * prod(max(map(abs, row)) for row in sub)
 
 
 @lru_cache(maxsize=None)

@@ -164,19 +164,14 @@ class MixedGraph:
     def ug(cls, labels: Sequence[str], edges: Iterable[tuple[str, str]] = ()) -> "MixedGraph":
         """Build an undirected graph from label pairs."""
         labels = tuple(labels)
-        index = {lab: i for i, lab in enumerate(labels)}
-        und = frozenset(
-            (min(index[a], index[b]), max(index[a], index[b])) for a, b in edges
-        )
+        und = frozenset((min(a, b), max(a, b)) for a, b in _index_pairs(labels, edges))
         return cls(len(labels), labels, und, frozenset())
 
     @classmethod
     def dag(cls, labels: Sequence[str], arrows: Iterable[tuple[str, str]] = ()) -> "MixedGraph":
         """Build a directed graph from (tail, head) label pairs."""
         labels = tuple(labels)
-        index = {lab: i for i, lab in enumerate(labels)}
-        return cls(len(labels), labels, frozenset(),
-                   frozenset((index[a], index[b]) for a, b in arrows))
+        return cls(len(labels), labels, frozenset(), frozenset(_index_pairs(labels, arrows)))
 
     @cached_property
     def full_mask(self) -> NodeSet:
@@ -204,6 +199,17 @@ class MixedGraph:
             except KeyError:
                 raise ValueError(f"unknown node label {lab!r}") from None
         return m
+
+
+def _index_pairs(
+    labels: Sequence[str], pairs: Iterable[tuple[str, str]]
+) -> list[tuple[int, int]]:
+    """Label pairs as node index pairs; unknown labels raise ValueError."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    try:
+        return [(index[a], index[b]) for a, b in pairs]
+    except KeyError as exc:
+        raise ValueError(f"unknown node label {exc.args[0]!r}") from None
 
 
 def parse_graph(text: str) -> MixedGraph:

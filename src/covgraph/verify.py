@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import prod
 from operator import ne
 from typing import Iterator
 
 from .closure import MAX_CLOSURE_NODES, RULES, ClosureState, saturate
-from .gaussian import (DEFAULT_TOL, _minors, _vanishes, require_tolerance,
-                       sample_markov_gaussian, trial_seed)
+from .gaussian import _minors, sample_markov_gaussian, trial_seed
 from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit, components,
                      iter_nodes, submasks)
 from .separation import (_dependence_row, _independence_row, _independent, canonical_triples,
@@ -135,37 +133,21 @@ def pair_verdicts(g: MixedGraph) -> list[tuple[int, int, NodeSet, bool]]:
 
 
 def _trials(
-    g: MixedGraph, table: list[tuple[int, int, NodeSet, bool]],
-    trials: int, seed: int, tol: float,
+    g: MixedGraph, table: list[tuple[int, int, NodeSet, bool]], trials: int, seed: int,
 ) -> Iterator[tuple[list[bool], int]]:
     """For each trial, the determinant verdict on every (i, j, K) of
     `table` (the `pair_verdicts` of g), in table order, and the number of
     them that disagree with the covariance criterion.
 
-    A verdict is `ci_test`'s tolerance test on the exact determinant,
-    read from the trial's `_minors` table.  Two implications skip the
-    row maxima: an exact zero vanishes, and a determinant above tol times
-    the product of the full rows' maxima, in the same row order, does not,
-    since that product is never below the submatrix's."""
+    A verdict reads independence exactly when the minor
+    det sigma[{i} | K, {j} | K], taken from the trial's `_minors` table,
+    is zero."""
     n = g.n
-    plan = []
-    for i, j, k, _verdict in table:
-        ks = list(iter_nodes(k))
-        plan.append((k, i * n + j, [i, *ks], [j, *ks]))
+    plan = [(k, i * n + j) for i, j, k, _verdict in table]
     expected = [verdict for _i, _j, _k, verdict in table]
     for t in range(trials):
-        sigma = sample_markov_gaussian(g, trial_seed(seed, t)).sigma
-        shift, minors = _minors(sigma)
-        maxima = [max(map(abs, r)) for r in sigma]
-        row = []
-        for k, ij, rows, cols in plan:
-            e = minors[k][ij]
-            if e:
-                d = e / (1 << shift * len(rows))
-                row.append(abs(d) <= tol * prod(map(maxima.__getitem__, rows))
-                           and _vanishes(sigma, rows, cols, tol, d))
-            else:
-                row.append(True)
+        _shift, minors = _minors(sample_markov_gaussian(g, trial_seed(seed, t)).sigma)
+        row = [not minors[k][ij] for k, ij in plan]
         yield row, sum(map(ne, row, expected))
 
 
@@ -173,17 +155,15 @@ def faithfulness_report(
     g: MixedGraph,
     trials: int,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> FaithfulnessReport:
-    """Sample `trials` models and compare the determinant test against the
-    covariance-graph criterion over every (i, j, K)."""
+    """Sample `trials` models and compare their exact zero minors against
+    the covariance-graph criterion over every (i, j, K)."""
     if g.n > MAX_FAITHFULNESS_NODES:
         raise SizeLimitError(
             f"faithfulness sweep limited to {MAX_FAITHFULNESS_NODES} nodes")
     if trials < 1:
         raise ValueError("at least one trial required")
-    require_tolerance(tol)
-    mismatches = [bad for _row, bad in _trials(g, pair_verdicts(g), trials, seed, tol)]
+    mismatches = [bad for _row, bad in _trials(g, pair_verdicts(g), trials, seed)]
     return FaithfulnessReport(g.n, trials, mismatches)
 
 
@@ -326,23 +306,21 @@ def corollaries_sweep(
     n_max: int = 5,
     trials: int = 100,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> dict:
     """Sampled-model checks per connected UG.
 
     Per graph, at least `MIN_FAITHFUL_FRACTION` of the trials must be
-    numerically faithful (determinant test agrees with the graph criterion
-    on every (i, j, K)).  On every faithful trial the recovered covariance
-    and concentration graphs must share connected components and map tree
-    components to complete dual components; a recovery defect on a trial
-    that already failed faithfulness is the same near-zero-determinant
-    event seen twice, so it is tallied separately and does not fail the
-    sweep on its own.
+    faithful: a minor vanishes exactly when the graph criterion reads
+    independence, on every (i, j, K).  On every faithful trial the
+    recovered covariance and concentration graphs must share connected
+    components and map tree components to complete dual components.  A
+    recovery defect on a trial that is exactly unfaithful is the same
+    cancellation seen twice, so it is tallied separately, as
+    `tolerance_artifact_trials`, and does not fail the sweep on its own.
     """
     _require_n_max("corollaries", n_max, MAX_FAITHFULNESS_NODES)
     if trials < 1:
         raise ValueError("at least one trial required")
-    require_tolerance(tol)
     failures: list[str] = []
     graphs = 0
     total_trials = 0
@@ -359,7 +337,7 @@ def corollaries_sweep(
             table = pair_verdicts(g)
             marginal = _entries_given(table, 0)
             full = _entries_given(table, g.full_mask)
-            for t, (row, bad) in enumerate(_trials(g, table, trials, base, tol)):
+            for t, (row, bad) in enumerate(_trials(g, table, trials, base)):
                 total_trials += 1
                 is_faithful = not bad
                 recovery_ok = _recovery_ok(_recovered(g.n, row, marginal),
@@ -386,7 +364,6 @@ def corollaries_sweep(
         "n_max": n_max,
         "trials": trials,
         "seed": seed,
-        "tol": tol,
         "threshold": MIN_FAITHFUL_FRACTION,
         "graphs": graphs,
         "total_trials": total_trials,
@@ -405,13 +382,12 @@ def full_verification(
     random_graphs: int = 200,
     trials: int = 100,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> dict:
     parts = [
         theorems_sweep(min(n_max, MAX_CLOSURE_NODES), random_graphs, seed),
         latent_sweep(min(n_max, MAX_LATENT_NODES)),
         forest_sweep(min(n_max + 1, MAX_FOREST_NODES)),
-        corollaries_sweep(min(n_max, 5), trials, seed, tol),
+        corollaries_sweep(min(n_max, 5), trials, seed),
     ]
     return {
         "scope": "all",

@@ -1,4 +1,5 @@
-"""Hypothesis strategies for small graphs, and fixed adversarial graphs."""
+"""Hypothesis strategies for small graphs, fixed adversarial graphs, and an
+unfaithful model sampler."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from covgraph import MixedGraph
+from covgraph import GaussianModel, MixedGraph, sample_markov_gaussian
 from covgraph.smallgraphs import default_labels
 
 
@@ -82,3 +83,10 @@ def dead_end_clique(k: int) -> MixedGraph:
     edges = [("a", "b")] + [("a", c) for c in clique]
     edges += [(c, d) for c, d in combinations(clique, 2)]
     return MixedGraph.ug(["a", *clique, "b"], edges)
+
+
+def complete_graph_model(g: MixedGraph, seed: int) -> GaussianModel:
+    """The model `sample_markov_gaussian` draws for the complete graph on
+    g's labels.  Patched in as the sweeps' sampler, it makes every missing
+    edge of g read as a dependence."""
+    return sample_markov_gaussian(MixedGraph.ug(g.labels, combinations(g.labels, 2)), seed)

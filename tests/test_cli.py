@@ -13,7 +13,7 @@ from closure_oracles import naive_explain_json
 from covgraph import format_graph, parse_graph, saturate
 from covgraph.cli import _explain_payload, main
 from covgraph.smallgraphs import all_ugs, random_ug
-from strategies import dead_end_clique
+from strategies import complete_graph_model, dead_end_clique
 
 CYCLE4 = "A -- B\nB -- C\nC -- D\nD -- A\n"
 PATH3 = "A -- B\nB -- C\n"
@@ -302,6 +302,13 @@ class TestVerifyCommands:
                  (4, 4, 5, 4), (5, 5, 6, 5), (6, 5, 6, 5)]
         assert received == [pair for row in sizes for pair in zip(scopes, row)]
 
+    def test_unfaithful_models_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("covgraph.verify.sample_markov_gaussian", complete_graph_model)
+        code, out, _ = run_cli(capsys, ["verify", "--scope", "corollaries",
+                                        "--n-max", "3", "--trials", "2"])
+        assert code == 1
+        assert "  violation: n=3 edges=[A-B,B-C] faithful fraction 0.000 < 0.95" in out.splitlines()
+
     def test_graphs_needs_scope_all(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--scope", "theorems",
                                         "--graphs", "3"])
@@ -321,13 +328,11 @@ class TestVerifyCommands:
         (["--scope", "latent", "--n-max", "6"], "latent sweep limited"),
         (["--scope", "forest", "--n-max", "8"], "forest sweep limited"),
         (["--scope", "latent", "--trials", "3"], "--trials applies to --scope theorems"),
-        (["--scope", "forest", "--tol", "1e-6"], "--tol applies to --scope corollaries, all"),
+        (["--scope", "corollaries", "--graphs", "2"], "--graphs applies to --scope all"),
         (["--scope", "latent", "--seed", "3"], "--seed applies to --scope theorems"),
-        (["--scope", "corollaries", "--n-max", "2", "--trials", "1", "--tol", "nan"],
-         "tolerance"),
-        (["--scope", "corollaries", "--n-max", "2", "--trials", "1", "--tol=inf"],
-         "tolerance"),
-        (["--scope", "corollaries", "--n-max", "1", "--tol", "nan"], "tolerance"),
+        (["--scope", "corollaries", "--n-max", "7"], "corollaries sweep limited"),
+        (["--scope", "theorems", "--n-max", "7"], "theorems sweep limited"),
+        (["--scope", "all", "--n-max", "1", "--trials", "0"], "trial"),
         (["--scope", "theorems", "--n-max", "2", "--seed", "-1"],
          "seed must not be negative"),
         (["--scope", "corollaries", "--n-max", "2", "--trials", "1", "--seed", "-1"],
@@ -337,7 +342,7 @@ class TestVerifyCommands:
         # 0 and negative counts are refused, not replaced by the defaults
         # or run as an empty sweep; sizes past a sweep's limit are refused
         # up front instead of running for hours; a flag the scope does not
-        # read and a non-finite tolerance are refused instead of ignored
+        # read is refused instead of ignored
         code, out, err = run_cli(capsys, ["verify", *argv])
         assert code == 2
         assert out == ""
@@ -380,12 +385,14 @@ class TestGaussianCommand:
         assert out == ""
         assert "seed must not be negative" in err
 
-    @pytest.mark.parametrize("tol", ["-1", "nan"])
-    def test_bad_tolerance_without_trials_is_error(self, capsys, cycle4_file, tol):
-        code, out, err = run_cli(capsys, ["gaussian", "-g", cycle4_file, "--tol", tol])
-        assert code == 2
-        assert out == ""
-        assert err == "error: tolerance must be positive and finite\n"
+    @pytest.mark.parametrize("argv", [["gaussian", "-g", "graph.g", "--trials", "2"],
+                                      ["verify", "--scope", "corollaries", "--n-max", "2"]])
+    def test_tolerance_flag_is_refused(self, capsys, argv):
+        # the sweeps read exact minors, so neither command takes a tolerance
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
     def test_identical_seeds_identical_output(self, capsys, cycle4_file):
         argv = ["gaussian", "-g", cycle4_file, "--seed", "3", "--json"]

@@ -5,8 +5,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import inf, nan, prod
-from operator import and_, gt, le, mul, ne
+from math import inf, nan
+from operator import and_, gt, le, mul
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +44,7 @@ from covgraph.verify import (_entries_given, _recovered, _recovery_ok, _trials,
                              corollaries_sweep, pair_verdicts)
 from covgraph.smallgraphs import all_ugs, connected_ugs, random_ug
 from oracles import det_cofactor, inverse_adjugate
+from strategies import complete_graph_model
 
 COV = GraphKind.COVARIANCE
 
@@ -312,52 +313,37 @@ class TestTrialRows:
             for index, g in enumerate(connected_ugs(n)):
                 seed = 7919 * index
                 table = pair_verdicts(g)
-                for t, (row, bad) in enumerate(_trials(g, table, 5, seed, DEFAULT_TOL)):
+                for t, (row, bad) in enumerate(_trials(g, table, 5, seed)):
                     self._check_trial(g, table, seed, t, row, bad)
 
-    def test_rows_match_on_the_tolerance_artifact_trial(self):
-        # graph 78 of corollaries_sweep(5, 100, 0), trial 23: its one
-        # unfaithful trial, where a near-zero determinant flips a verdict
+    @staticmethod
+    def _artifact_trial():
+        # graph 78 of corollaries_sweep(5, 100, 0), trial 23: the one trial
+        # of criterion 6 that ci_test's tolerance reads as unfaithful
         g = [g for n in range(1, 6) for g in connected_ugs(n)][78]
         assert sorted(g.undirected) == [(0, 3), (1, 2), (1, 3), (1, 4)]
         seed = 7919 * 78
-        table = pair_verdicts(g)
-        row, bad = list(_trials(g, table, 24, seed, DEFAULT_TOL))[23]
-        assert bad
-        self._check_trial(g, table, seed, 23, row, bad)
+        return g, seed, pair_verdicts(g), sample_markov_gaussian(g, trial_seed(seed, 23))
+
+    def test_rows_match_on_the_tolerance_artifact_trial(self):
+        # the row reads the criterion; ci_test flips two dependences, whose
+        # exactly nonzero minors fall under its tolerance
+        g, seed, table, model = self._artifact_trial()
+        row, bad = list(_trials(g, table, 24, seed))[23]
+        assert bad == 0
+        assert row == [v for _i, _j, _k, v in table]
+        flipped = [(i, j, k) for i, j, k, v in table if ci_test(model, i, j, k) != v]
+        assert flipped == [(0, 4, 0b01110), (0, 4, 0b01010)]
 
     def test_exact_zeros_match_criterion_on_the_tolerance_artifact_trial(self):
-        # the same trial read from its exact minor table: every exact zero
-        # sits on an independence of the graph and every nonzero minor on
-        # a dependence, while the tolerance row flips two of them
-        g = [g for n in range(1, 6) for g in connected_ugs(n)][78]
-        seed = 7919 * 78
-        table = pair_verdicts(g)
-        row, bad = list(_trials(g, table, 24, seed, DEFAULT_TOL))[23]
-        _shift, minors = _minors(sample_markov_gaussian(g, trial_seed(seed, 23)).sigma)
-        exact = [minors[k][i * g.n + j] == 0 for i, j, k, _v in table]
-        assert exact == [v for _i, _j, _k, v in table]
-        assert bad == sum(map(ne, row, exact)) == 2
-
-    def test_rows_match_ci_test_between_the_two_row_bounds(self):
-        # at this tolerance many nonzero determinants lie under tol times
-        # the full rows' maxima, where the row falls back to the submatrix
-        # maxima as ci_test reads them; both verdicts occur there
-        tol = 0.05
-        between = set()
-        for n in range(2, 5):
-            for index, g in enumerate(connected_ugs(n)):
-                table = pair_verdicts(g)
-                for t, (row, _bad) in enumerate(_trials(g, table, 3, index, tol)):
-                    model = sample_markov_gaussian(g, trial_seed(index, t))
-                    assert row == [ci_test(model, i, j, k, tol) for i, j, k, _v in table]
-                    for (i, j, k, _v), verdict in zip(table, row):
-                        rows = [i, *iter_nodes(k)]
-                        sub = [[model.sigma[r][c] for c in [j, *iter_nodes(k)]] for r in rows]
-                        full = prod(max(map(abs, model.sigma[r])) for r in rows)
-                        if 0 < abs(det(sub)) <= tol * full:
-                            between.add(verdict)
-        assert between == {True, False}
+        # the same trial by Fraction elimination, independent of _minors:
+        # a minor is exactly zero where the graph reads independence
+        _g, _seed, table, model = self._artifact_trial()
+        sigma = model.sigma
+        for i, j, k, v in table:
+            ks = list(iter_nodes(k))
+            sub = [[sigma[r][c] for c in [j, *ks]] for r in [i, *ks]]
+            assert (exact_det(sub) == 0) == v
 
     def test_trial_row_matches_ci_test_on_every_connected_five_node_graph(self):
         graphs = list(connected_ugs(5))
@@ -365,7 +351,7 @@ class TestTrialRows:
         for index, g in enumerate(graphs):
             seed = 7919 * (44 + index)  # corollaries_sweep's seed for this graph
             table = pair_verdicts(g)
-            (row, _bad), = _trials(g, table, 1, seed, DEFAULT_TOL)
+            (row, _bad), = _trials(g, table, 1, seed)
             model = sample_markov_gaussian(g, trial_seed(seed, 0))
             assert row == [ci_test(model, i, j, k) for i, j, k, _v in table]
 
@@ -587,16 +573,7 @@ class TestFaithfulness:
         # a one-node graph has no pair, so ci_test never runs
         g = MixedGraph.ug("A")
         with pytest.raises(ValueError, match="tolerance"):
-            faithfulness_report(g, trials=1, tol=float("nan"))
-        with pytest.raises(ValueError, match="tolerance"):
             covariance_graph_of(sample_markov_gaussian(g, 0), float("inf"), g.labels)
-
-    @pytest.mark.parametrize("n_max", [1, 3])
-    @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
-    def test_sweep_tolerance_checked(self, tol, n_max):
-        # the sweep's trial loop runs the unchecked determinant kernel
-        with pytest.raises(ValueError, match="tolerance"):
-            corollaries_sweep(n_max, 1, 0, tol)
 
     def test_dependence_certified_numerically(self):
         # a graph-certified dependence should show up as a dependent pair
@@ -618,6 +595,52 @@ class TestFaithfulness:
                 if found:
                     hits += 1
             assert hits / trials >= 0.95, t.render(g.labels)
+
+
+class TestCorollariesSweep:
+    """The sweep's failure branches, reached by swapping in unfaithful
+    models or a failing recovery check."""
+
+    def test_mended_tolerance_failure(self):
+        # ci_test's tolerance reads two exactly nonzero minors of trial 0
+        # of graph 7 as zero, which put that graph at 3 of 4 faithful
+        # trials; the exact minors read all 176 trials as faithful
+        seed = 2332443261
+        r = corollaries_sweep(4, 4, seed)
+        assert r["passed"]
+        assert r["faithful_trials"] == r["total_trials"] == 176
+        g = [g for n in range(1, 5) for g in connected_ugs(n)][7]
+        assert sorted(g.undirected) == [(0, 1), (0, 3), (1, 2)]
+        model = sample_markov_gaussian(g, trial_seed(seed + 7919 * 7, 0))
+        flipped = [(i, j, k) for i, j, k, v in pair_verdicts(g) if ci_test(model, i, j, k) != v]
+        assert flipped == [(0, 2, 0b1010), (2, 3, 0b0011)]
+
+    def test_unfaithful_models_fail_the_threshold(self, monkeypatch):
+        monkeypatch.setattr("covgraph.verify.sample_markov_gaussian", complete_graph_model)
+        r = corollaries_sweep(3, 2, 0)
+        assert not r["passed"]
+        # the three paths on 3 nodes are never faithful; the complete
+        # graphs on 1-3 nodes always are
+        assert (r["graphs"], r["faithful_trials"], r["graphs_below_threshold"]) == (6, 6, 3)
+        assert "n=3 edges=[A-B,B-C] faithful fraction 0.000 < 0.95" in r["failures"]
+        assert r["structural_failures"] == r["tolerance_artifact_trials"] == 0
+
+    def test_recovery_defect_on_a_faithful_trial_fails(self, monkeypatch):
+        monkeypatch.setattr("covgraph.verify._recovery_ok", lambda cov, conc: False)
+        r = corollaries_sweep(2, 2, 0)
+        assert not r["passed"]
+        assert r["structural_failures"] == r["total_trials"] == 4
+        assert r["tolerance_artifact_trials"] == 0
+        assert "n=2 edges=[A-B] trial 1: recovery defect on a faithful trial" in r["failures"]
+
+    def test_recovery_defect_on_an_unfaithful_trial_is_tallied(self, monkeypatch):
+        monkeypatch.setattr("covgraph.verify.sample_markov_gaussian", complete_graph_model)
+        monkeypatch.setattr("covgraph.verify._recovery_ok", lambda cov, conc: False)
+        r = corollaries_sweep(3, 2, 0)
+        # the paths' unfaithful trials are tallied, not recorded as defects
+        assert r["tolerance_artifact_trials"] == r["structural_failures"] == 6
+        defective = {f.split(" trial ")[0] for f in r["failures"] if "recovery defect" in f}
+        assert defective == {"n=1 edges=[]", "n=2 edges=[A-B]", "n=3 edges=[A-B,A-C,B-C]"}
 
 
 class TestDump:

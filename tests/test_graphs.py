@@ -375,6 +375,13 @@ class TestMixedGraphValidation:
         with pytest.raises(ValueError):
             MixedGraph(2, ("A", "B"), frozenset({(1, 0)}))
 
+    @pytest.mark.parametrize("build", [MixedGraph.ug, MixedGraph.dag])
+    @pytest.mark.parametrize("pair", [("A", "C"), ("C", "A")])
+    def test_constructors_name_an_unknown_label(self, build, pair):
+        with pytest.raises(ValueError) as info:
+            build("AB", [("A", "B"), pair])
+        assert str(info.value) == "unknown node label 'C'"
+
     def test_node_set_resolution(self):
         g = cycle4()
         assert g.node_set(["A", "C"]) == mask_of([0, 2])
