@@ -13,12 +13,14 @@ import argparse
 import json
 import os
 import sys
+from itertools import compress
 from typing import Sequence
 
 from .closure import explain, saturate
 from .gaussian import dump_model, nd_dimension, sample_markov_gaussian
 from .graphs import GraphKind, GraphParseError, MixedGraph, format_graph, iter_nodes, parse_graph
-from .separation import UG_READINGS, CITriple, ci_independent, dependence_witness
+from .separation import (UG_READINGS, CITriple, canonical_triples, ci_independent,
+                         dependence_witness)
 from .transforms import latent_dag
 from .verify import (
     MIN_FAITHFUL_FRACTION,
@@ -114,8 +116,8 @@ def _cmd_closure(args) -> int:
     state = saturate(g)
     rows = []
     lines = []
-    for t in state.sorted_statements():
-        rule = state.provenance[t].rule
+    for t, (rule, *_antecedents) in compress(zip(canonical_triples(g.n), state.derivations),
+                                             state.row):
         rows.append({
             "x": _label_list(g, t.x),
             "y": _label_list(g, t.y),
@@ -129,19 +131,17 @@ def _cmd_closure(args) -> int:
     return EXIT_HOLDS
 
 
-def _explain_payload(state, t: CITriple, memo: dict) -> dict:
+def _explain_payload(state, p: int, memo: dict) -> dict:
     # One dict per statement, shared by every tree that contains it;
     # json.dumps writes a shared dict out in full at each place.
-    node = memo.get(t)
+    node = memo.get(p)
     if node is None:
-        names = state.set_names
-        d = state.provenance[t]
-        node = memo[t] = {
-            "statement": f"{names[t.x]} ; {names[t.y]} ; {names[t.z]}",
-            "rule": d.rule,
-            "independencies": [f"{names[i.x]} ; {names[i.y]} ; {names[i.z]}"
-                               for i in d.independencies],
-            "antecedents": [_explain_payload(state, dep, memo) for dep in d.dependencies],
+        rule, deps, indeps = state.derivations[p]
+        node = memo[p] = {
+            "statement": state.render(p),
+            "rule": rule,
+            "independencies": [state.render(i) for i in indeps],
+            "antecedents": [_explain_payload(state, dep, memo) for dep in deps],
         }
     return node
 
@@ -152,7 +152,7 @@ def _cmd_explain(args) -> int:
     x, y, z = _resolve(g, args)
     triple = CITriple(x, y, z)
     tree = explain(state, triple)  # raises for an absent statement
-    payload = {"command": "explain", "tree": _explain_payload(state, triple, {})}
+    payload = {"command": "explain", "tree": _explain_payload(state, state.position(triple), {})}
     _emit(args, payload, tree)
     return EXIT_HOLDS
 

@@ -12,8 +12,9 @@ per statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 
 from .graphs import (GraphKind, MixedGraph, SizeLimitError, bit, disjoint_splits,
                      format_nodeset, iter_nodes)
@@ -59,22 +60,65 @@ class Derivation:
 
 @dataclass
 class ClosureState:
+    """What `saturate` computed, indexed by position in
+    `canonical_triples(graph.n)`.
+
+    `row[p]` says whether statement p is in the closure, and
+    `derivations[p]` is its first derivation: the rule, the positions of
+    the dependence antecedents and the positions of the independence
+    antecedents (None for a statement outside the closure).  `order`
+    lists the established positions in the order they were derived.
+    `established` and `provenance` are views of this table, built on
+    first access.
+    """
+
     graph: MixedGraph
-    established: frozenset[CITriple]
-    provenance: dict[CITriple, Derivation]
     sweeps: int
-    # Filled by `explain`: the rendered tree of each statement explained so far.
-    trees: dict[CITriple, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    row: list[bool]
+    derivations: list[tuple[str, tuple[int, ...], tuple[int, ...]] | None]
+    order: list[int]
+
+    @cached_property
+    def established(self) -> frozenset[CITriple]:
+        return frozenset(compress(canonical_triples(self.graph.n), self.row))
+
+    @cached_property
+    def provenance(self) -> dict[CITriple, Derivation]:
+        """First derivation of each statement, in the order they were made."""
+        triple = canonical_triples(self.graph.n).__getitem__
+        out = {}
+        for p in self.order:
+            rule, deps, indeps = self.derivations[p]
+            out[triple(p)] = Derivation(rule, tuple(map(triple, deps)),
+                                        tuple(map(triple, indeps)))
+        return out
 
     @cached_property
     def set_names(self) -> tuple[str, ...]:
         """The name of every node set of the graph, indexed by mask."""
         return tuple(format_nodeset(m, self.graph.labels) for m in range(1 << self.graph.n))
 
+    @cached_property
+    def _trees(self) -> list[str | None]:
+        # Filled by `explain`: the rendered tree of each statement explained so far.
+        return [None] * len(self.row)
+
+    def position(self, t: CITriple) -> int:
+        """The position of t in `canonical_triples(n)`; refuses a triple
+        naming nodes outside the graph."""
+        g = self.graph
+        check_triple(g, t.x, t.y, t.z)
+        return _positions(g.n)[t.x | t.y << g.n | t.z << 2 * g.n]
+
+    def render(self, p: int) -> str:
+        """Statement p as `X ; Y ; Z`."""
+        t = canonical_triples(self.graph.n)[p]
+        names = self.set_names
+        return f"{names[t.x]} ; {names[t.y]} ; {names[t.z]}"
+
     def sorted_statements(self) -> list[CITriple]:
         # `canonical_triples` is already sorted by `CITriple.sort_key`.
-        established = self.established
-        return [t for t in canonical_triples(self.graph.n) if t in established]
+        return list(compress(canonical_triples(self.graph.n), self.row))
 
 
 @lru_cache(maxsize=None)
@@ -129,18 +173,19 @@ def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
         raise SizeLimitError(f"closure limited to {MAX_CLOSURE_NODES} nodes")
 
     # est[p]: statement p is in the closure; indep[p]: the graph reads it
-    # independent.  `provenance` keeps first derivations in the order made.
+    # independent.  `order` keeps the established positions in the order
+    # their first derivations were made.
     n = g.n
-    triple = canonical_triples(n).__getitem__
 
     def add(p, rule, deps, indeps) -> None:
         est[p] = True
-        provenance[triple(p)] = Derivation(rule, tuple(map(triple, deps)),
-                                           tuple(map(triple, indeps)))
+        derivations[p] = (rule, deps, indeps)
+        order.append(p)
 
     indep = _independence_row(g, GraphKind.COVARIANCE)
     est = [False] * len(indep)
-    provenance: dict[CITriple, Derivation] = {}
+    derivations = [None] * len(indep)
+    order: list[int] = []
     positions = _positions(n)
     for i, j in g.undirected:
         add(positions[bit(i) | bit(j) << n], RULE_BASE, (), ())
@@ -155,8 +200,8 @@ def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
     # nothing ends the fixpoint.
     sweeps = 0
     size = -1
-    while size != len(provenance):
-        size = len(provenance)
+    while size != len(order):
+        size = len(order)
         sweeps += 1
         for small, moved, wide, xwz, xwzy in set_sites:
             if not est[wide]:
@@ -182,7 +227,7 @@ def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
                 if indep[xyzk] and not est[xyz]:
                     add(xyz, RULE_WEAK_TRANSITIVITY2, (first, second), (xyzk,))
 
-    return ClosureState(g, frozenset(provenance), provenance, sweeps)
+    return ClosureState(g, sweeps, est, derivations, order)
 
 
 class NotEstablishedError(ValueError):
@@ -193,25 +238,25 @@ def explain(state: ClosureState, triple: CITriple) -> str:
     """Derivation tree of an established statement, down to base edges and
     graph-certified independencies.  Each subtree is rendered once per
     state and reused by every tree that contains it."""
-    check_triple(state.graph, triple.x, triple.y, triple.z)
-    if triple not in state.established:
+    p = state.position(triple)
+    if not state.row[p]:
         raise NotEstablishedError(
             f"{triple.render(state.graph.labels)} is not in the closure"
         )
-    return _tree(state, triple)
+    return _tree(state, p)
 
 
-def _tree(state: ClosureState, t: CITriple) -> str:
+def _tree(state: ClosureState, p: int) -> str:
     # Module level, not nested in `explain`: a recursive nested function
     # refers to itself through its closure cell, and that cycle would keep
     # the state and its memo alive until the cyclic collector runs.
-    text = state.trees.get(t)
+    trees = state._trees
+    text = trees[p]
     if text is None:
-        names = state.set_names
-        d = state.provenance[t]
-        lines = [f"{names[t.x]} ; {names[t.y]} ; {names[t.z]}  [{d.rule}]"]
-        lines += [f"  {names[i.x]} ; {names[i.y]} ; {names[i.z]}  [independent by graph]"
-                  for i in d.independencies]
-        lines += ["  " + _tree(state, dep).replace("\n", "\n  ") for dep in d.dependencies]
-        text = state.trees[t] = "\n".join(lines)
+        rule, deps, indeps = state.derivations[p]
+        render = state.render
+        lines = [f"{render(p)}  [{rule}]"]
+        lines += [f"  {render(i)}  [independent by graph]" for i in indeps]
+        lines += ["  " + _tree(state, dep).replace("\n", "\n  ") for dep in deps]
+        text = trees[p] = "\n".join(lines)
     return text

@@ -42,24 +42,25 @@ class Report:
 
 
 def replay_provenance(state: ClosureState) -> Report:
-    """Re-check every recorded derivation: dependence antecedents must be
-    established and independence antecedents certified by the criterion."""
+    """Re-check every recorded derivation, in the order it was made:
+    dependence antecedents must be established and independence
+    antecedents certified by the criterion."""
     g = state.graph
-    report = Report()
-    for t, d in state.provenance.items():
-        report.checked += 1
-        if d.rule not in RULES:
-            report.violations.append(f"{t.render(g.labels)}: unknown rule {d.rule}")
-        for dep in d.dependencies:
-            if dep not in state.established:
-                report.violations.append(
-                    f"{t.render(g.labels)}: antecedent {dep.render(g.labels)} missing"
-                )
-        for ind in d.independencies:
-            if not ci_independent(g, GraphKind.COVARIANCE, ind.x, ind.y, ind.z):
-                report.violations.append(
-                    f"{t.render(g.labels)}: {ind.render(g.labels)} not graph-certified"
-                )
+    triples = canonical_triples(g.n)
+    row = state.row
+    render = state.render
+    report = Report(len(state.order))
+    for p in state.order:
+        rule, deps, indeps = state.derivations[p]
+        if rule not in RULES:
+            report.violations.append(f"{render(p)}: unknown rule {rule}")
+        for dep in deps:
+            if not row[dep]:
+                report.violations.append(f"{render(p)}: antecedent {render(dep)} missing")
+        for ind in indeps:
+            t = triples[ind]
+            if not ci_independent(g, GraphKind.COVARIANCE, t.x, t.y, t.z):
+                report.violations.append(f"{render(p)}: {render(ind)} not graph-certified")
     return report
 
 
@@ -161,8 +162,7 @@ def faithfulness_report(
     if g.n > MAX_FAITHFULNESS_NODES:
         raise SizeLimitError(
             f"faithfulness sweep limited to {MAX_FAITHFULNESS_NODES} nodes")
-    if trials < 1:
-        raise ValueError("at least one trial required")
+    _require_trials(trials)
     mismatches = [bad for _row, bad in _trials(g, pair_verdicts(g), trials, seed)]
     return FaithfulnessReport(g.n, trials, mismatches)
 
@@ -184,16 +184,28 @@ def _require_n_max(scope: str, n_max: int, limit: int) -> None:
         raise ValueError(f"{scope} sweep limited to {limit} nodes")
 
 
+def _require_sample(random_graphs: int, seed: int) -> None:
+    if random_graphs < 0:
+        raise ValueError("random graph count must not be negative")
+    if seed < 0:
+        raise ValueError("seed must not be negative")
+
+
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("at least one trial required")
+
+
 def _closure_report(g: MixedGraph) -> Report:
     """The rule closure of g against the single-path criterion."""
-    derived = saturate(g).established
+    derived = saturate(g).row
     certified = _dependence_row(g, GraphKind.COVARIANCE)
     triples = canonical_triples(g.n)
     report = Report(len(triples))
-    wrong = [t for t, dependent in zip(triples, certified) if (t in derived) != dependent]
-    if wrong:
-        missing = sorted(t.render(g.labels) for t in wrong if t not in derived)
-        extra = sorted(t.render(g.labels) for t in wrong if t in derived)
+    if derived != certified:
+        wrong = [(t.render(g.labels), d) for t, d, c in zip(triples, derived, certified) if d != c]
+        missing = sorted(text for text, d in wrong if not d)
+        extra = sorted(text for text, d in wrong if d)
         report.violations.append(f"missing={missing} extra={extra}")
     return report
 
@@ -201,10 +213,7 @@ def _closure_report(g: MixedGraph) -> Report:
 def theorems_sweep(n_max: int = 5, random_graphs: int = 200, seed: int = 0) -> dict:
     """Set equality of the rule closure and the single-path criterion:
     exhaustive up to 4 nodes, seeded random sample at 5 and 6."""
-    if random_graphs < 0:
-        raise ValueError("random graph count must not be negative")
-    if seed < 0:
-        raise ValueError("seed must not be negative")
+    _require_sample(random_graphs, seed)
     rng = random.Random(seed)
 
     def family(n: int):
@@ -319,8 +328,7 @@ def corollaries_sweep(
     `tolerance_artifact_trials`, and does not fail the sweep on its own.
     """
     _require_n_max("corollaries", n_max, MAX_FAITHFULNESS_NODES)
-    if trials < 1:
-        raise ValueError("at least one trial required")
+    _require_trials(trials)
     failures: list[str] = []
     graphs = 0
     total_trials = 0
@@ -383,6 +391,11 @@ def full_verification(
     trials: int = 100,
     seed: int = 0,
 ) -> dict:
+    # Refuse a bad argument before the first sweep runs, in the order the
+    # sweeps would check them: the sweeps take seconds.
+    _require_sample(random_graphs, seed)
+    _require_n_max("theorems", min(n_max, MAX_CLOSURE_NODES), MAX_CLOSURE_NODES)
+    _require_trials(trials)
     parts = [
         theorems_sweep(min(n_max, MAX_CLOSURE_NODES), random_graphs, seed),
         latent_sweep(min(n_max, MAX_LATENT_NODES)),

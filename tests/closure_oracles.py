@@ -10,6 +10,8 @@ the renderers.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from covgraph import (
     CITriple,
     ClosureState,
@@ -37,7 +39,18 @@ from covgraph.closure import (
 from covgraph.graphs import disjoint_splits
 
 
-def naive_saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
+@dataclass
+class NaiveClosure:
+    """The reference engine's result: the statements, their first
+    derivations in the order made, and the fixpoint sweep count."""
+
+    graph: MixedGraph
+    established: frozenset[CITriple]
+    provenance: dict[CITriple, Derivation]
+    sweeps: int
+
+
+def naive_saturate(g: MixedGraph, _reverse_sweep: bool = False) -> NaiveClosure:
     """The closure engine keyed by (x, y, z) mask tuples, with the split
     tables built on every call: same sweep order, rule order, provenance
     and sweep count as `saturate`."""
@@ -120,10 +133,10 @@ def naive_saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
                     changed |= add(x, y, z, RULE_WEAK_TRANSITIVITY2,
                                    (first, second), ((x, y, z | k),))
 
-    return ClosureState(g, frozenset(provenance), provenance, sweeps)
+    return NaiveClosure(g, frozenset(provenance), provenance, sweeps)
 
 
-def naive_explain(state: ClosureState, triple: CITriple) -> str:
+def naive_explain(state: ClosureState | NaiveClosure, triple: CITriple) -> str:
     """Derivation tree of an established statement, re-rendered from
     scratch on every call."""
     if triple not in state.established:
@@ -146,7 +159,7 @@ def naive_explain(state: ClosureState, triple: CITriple) -> str:
     return "\n".join(lines)
 
 
-def naive_explain_json(state: ClosureState, triple: CITriple) -> dict:
+def naive_explain_json(state: ClosureState | NaiveClosure, triple: CITriple) -> dict:
     """The `explain --json` tree of an established statement, rebuilt
     from scratch on every call."""
     if triple not in state.established:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from closure_oracles import naive_explain_json
-from covgraph import format_graph, parse_graph, saturate
+from covgraph import canonical_triples, format_graph, parse_graph, saturate
 from covgraph.cli import _explain_payload, main
 from covgraph.smallgraphs import all_ugs, random_ug
 from strategies import complete_graph_model, dead_end_clique
@@ -194,8 +194,26 @@ class TestClosureCommands:
         graphs += [random_ug(6, rng) for _ in range(4)]
         for g in graphs:
             state = saturate(g)
-            for t in state.sorted_statements():
-                assert _explain_payload(state, t, {}) == naive_explain_json(state, t)
+            for p, t in enumerate(canonical_triples(g.n)):
+                if state.row[p]:
+                    assert _explain_payload(state, p, {}) == naive_explain_json(state, t)
+
+    @pytest.mark.parametrize("argv", [
+        ["closure"], ["closure", "--json"],
+        ["explain", "-X", "A", "-Y", "C", "-Z", "B"],
+        ["explain", "-X", "A", "-Y", "C", "-Z", "B", "--json"],
+    ])
+    def test_commands_build_no_view(self, capsys, monkeypatch, cycle4_file, argv):
+        # `closure` and `explain` read the state's positional table; the
+        # `established` and `provenance` views stay unbuilt
+        import covgraph.cli as cli
+        made = []
+        monkeypatch.setattr(cli, "saturate", lambda g: made.append(saturate(g)) or made[-1])
+        code, _, _ = run_cli(capsys, [argv[0], "-g", cycle4_file, *argv[1:]])
+        assert code == 0
+        (state,) = made
+        assert "established" not in state.__dict__
+        assert "provenance" not in state.__dict__
 
 
 PENTAGON_CHORD = "A -- B\nB -- C\nC -- D\nD -- E\nE -- A\nA -- C\n"
@@ -347,6 +365,19 @@ class TestVerifyCommands:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_all_refuses_bad_trials_before_any_sweep(self, capsys, monkeypatch):
+        import covgraph.verify as verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep ran before the arguments were checked")
+
+        for name in ("theorems_sweep", "latent_sweep", "forest_sweep", "corollaries_sweep"):
+            monkeypatch.setattr(verify, name, refuse)
+        with pytest.raises(ValueError, match="^at least one trial required$"):
+            verify.full_verification(trials=0)
+        code, out, err = run_cli(capsys, ["verify", "--scope", "all", "--trials", "0"])
+        assert (code, out, err) == (2, "", "error: at least one trial required\n")
 
     def test_zero_random_graphs_is_honored(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--scope", "theorems",

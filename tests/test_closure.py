@@ -26,8 +26,7 @@ from covgraph import (
     saturate,
 )
 from covgraph import verify
-from covgraph.closure import (RULES, RULE_BASE, RULE_WEAK_TRANSITIVITY1, ClosureState, Derivation,
-                              _sites)
+from covgraph.closure import RULES, RULE_BASE, RULE_WEAK_TRANSITIVITY1, Derivation, _sites
 from covgraph.graphs import disjoint_splits
 from covgraph.smallgraphs import all_ugs, random_ug
 from covgraph.verify import MAX_FAILURES_KEPT, _closure_report, theorems_sweep
@@ -194,14 +193,13 @@ class TestSaturate:
         # are marginally independent on the path) and an independency the
         # criterion does not certify (A - B is an edge)
         state = saturate(path3())
-        ab, ac = CITriple(bit(0), bit(1)), CITriple(bit(0), bit(2))
-        ac_b = CITriple(bit(0), bit(2), bit(1))
-        provenance = {
-            ab: Derivation("no-such-rule"),
-            ac_b: Derivation(RULE_WEAK_TRANSITIVITY1, dependencies=(ac,), independencies=(ab,)),
-        }
-        report = replay_provenance(ClosureState(state.graph, state.established, provenance,
-                                                state.sweeps))
+        pos = canonical_triples(3).index
+        ab, ac = pos(CITriple(bit(0), bit(1))), pos(CITriple(bit(0), bit(2)))
+        ac_b = pos(CITriple(bit(0), bit(2), bit(1)))
+        derivations = [None] * len(state.row)
+        derivations[ab] = ("no-such-rule", (), ())
+        derivations[ac_b] = (RULE_WEAK_TRANSITIVITY1, (ac,), (ab,))
+        report = replay_provenance(replace(state, derivations=derivations, order=[ab, ac_b]))
         assert report.checked == 2
         assert report.violations == [
             "A ; B ; -: unknown rule no-such-rule",
@@ -224,6 +222,51 @@ class TestSaturate:
                 want = naive_saturate(g, _reverse_sweep=reverse)
                 assert got.sweeps == want.sweeps
                 assert list(got.provenance.items()) == list(want.provenance.items())
+
+
+class TestPositionalState:
+    def test_callers_read_the_table_and_views_match_the_reference(self, monkeypatch):
+        """`saturate`, `explain` of every statement, `replay_provenance`
+        and `_closure_report` hash no `CITriple`, construct no
+        `Derivation` and build neither view; read afterwards, the views
+        equal the reference engine's, the provenance in order too.  In
+        both sweep orders, on every labeled UG of up to 4 nodes and on
+        seeded random 5- and 6-node UGs."""
+        calls = Counter()
+        real_hash, real_init = CITriple.__hash__, Derivation.__init__
+
+        def counted_hash(t):
+            calls["hash"] += 1
+            return real_hash(t)
+
+        def counted_init(d, *args, **kwargs):
+            calls["derivation"] += 1
+            real_init(d, *args, **kwargs)
+
+        monkeypatch.setattr(CITriple, "__hash__", counted_hash)
+        monkeypatch.setattr(Derivation, "__init__", counted_init)
+        made = []
+        monkeypatch.setattr(verify, "saturate", lambda g: made.append(saturate(g)) or made[-1])
+
+        rng = random.Random(20261021)
+        graphs = [g for n in range(1, 5) for g in all_ugs(n)]
+        graphs += [random_ug(5, rng) for _ in range(8)]
+        graphs += [random_ug(6, rng) for _ in range(3)]
+        for g in graphs:
+            for reverse in (False, True):
+                calls.clear()
+                state = saturate(g, _reverse_sweep=reverse)
+                for t in state.sorted_statements():
+                    explain(state, t)
+                assert replay_provenance(state).passed
+                assert _closure_report(g).passed
+                assert calls == {}, (g, reverse)
+                for seen in (state, made.pop()):
+                    assert "established" not in seen.__dict__
+                    assert "provenance" not in seen.__dict__
+                want = naive_saturate(g, _reverse_sweep=reverse)
+                assert state.established == want.established
+                assert list(state.provenance.items()) == list(want.provenance.items())
 
 
 class TestInternedTriples:
@@ -341,11 +384,14 @@ class TestTheoremEquality:
 
     def test_sweep_records_a_dropped_statement(self, monkeypatch):
         def drop_first(g):
+            # the row is in canonical order, so its first established
+            # position is the smallest established statement
             state = saturate(g)
-            if not state.established:
+            if True not in state.row:
                 return state
-            first = min(state.established, key=CITriple.sort_key)
-            return replace(state, established=state.established - {first})
+            row = list(state.row)
+            row[row.index(True)] = False
+            return replace(state, row=row)
 
         monkeypatch.setattr(verify, "saturate", drop_first)
         r = theorems_sweep(4, 0, 0)
