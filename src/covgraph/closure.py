@@ -67,9 +67,10 @@ class ClosureState:
     `derivations[p]` is its first derivation: the rule, the positions of
     the dependence antecedents and the positions of the independence
     antecedents (None for a statement outside the closure).  `order`
-    lists the established positions in the order they were derived.
-    `established` and `provenance` are views of this table, built on
-    first access.
+    lists the established positions in the order they were derived, each
+    after its dependence antecedents.  `established` and `provenance` are
+    views of this table, built on first access; so are the `explain`
+    trees, rendered once per state in that order.
     """
 
     graph: MixedGraph
@@ -100,8 +101,21 @@ class ClosureState:
 
     @cached_property
     def _trees(self) -> list[str | None]:
-        # Filled by `explain`: the rendered tree of each statement explained so far.
-        return [None] * len(self.row)
+        """The rendered derivation tree of every established statement (None
+        elsewhere), built in one loop over `order`: `saturate` derives each
+        dependence antecedent before the statement that uses it, so its
+        tree is ready to indent into its user's."""
+        trees: list[str | None] = [None] * len(self.row)
+        render = self.render
+        for p in self.order:
+            rule, deps, indeps = self.derivations[p]
+            text = f"{render(p)}  [{rule}]"
+            for i in indeps:
+                text += f"\n  {render(i)}  [independent by graph]"
+            for dep in deps:
+                text += "\n  " + trees[dep].replace("\n", "\n  ")
+            trees[p] = text
+        return trees
 
     def position(self, t: CITriple) -> int:
         """The position of t in `canonical_triples(n)`; refuses a triple
@@ -236,27 +250,12 @@ class NotEstablishedError(ValueError):
 
 def explain(state: ClosureState, triple: CITriple) -> str:
     """Derivation tree of an established statement, down to base edges and
-    graph-certified independencies.  Each subtree is rendered once per
-    state and reused by every tree that contains it."""
+    graph-certified independencies.  The first call renders the tree of
+    every statement of the state, in derivation order, and every call
+    after it is one lookup."""
     p = state.position(triple)
     if not state.row[p]:
         raise NotEstablishedError(
             f"{triple.render(state.graph.labels)} is not in the closure"
         )
-    return _tree(state, p)
-
-
-def _tree(state: ClosureState, p: int) -> str:
-    # Module level, not nested in `explain`: a recursive nested function
-    # refers to itself through its closure cell, and that cycle would keep
-    # the state and its memo alive until the cyclic collector runs.
-    trees = state._trees
-    text = trees[p]
-    if text is None:
-        rule, deps, indeps = state.derivations[p]
-        render = state.render
-        lines = [f"{render(p)}  [{rule}]"]
-        lines += [f"  {render(i)}  [independent by graph]" for i in indeps]
-        lines += ["  " + _tree(state, dep).replace("\n", "\n  ") for dep in deps]
-        text = trees[p] = "\n".join(lines)
-    return text
+    return state._trees[p]

@@ -172,16 +172,51 @@ def canonical_triples(n: int) -> tuple[CITriple, ...]:
     return tuple(out)
 
 
+def _reach_table(adj: Sequence[NodeSet]) -> list[NodeSet]:
+    """`reach[s << n | x]`, for each node set s and each x inside it: the
+    nodes of s that x reaches inside the subgraph induced by s.  One
+    `reachable` pass per component of each s; the component masks are
+    then folded over the subsets of s in increasing order."""
+    n = len(adj)
+    reach = [0] * (1 << 2 * n)
+    for s in range(1, 1 << n):
+        base = s << n
+        rest = s
+        while rest:
+            comp = node = reachable(adj, rest & -rest, s)
+            rest ^= comp
+            while node:
+                low = node & -node
+                reach[base | low] = comp
+                node ^= low
+        x = 0
+        while x != s:
+            x = (x - s) & s  # the subsets of s in increasing order
+            low = x & -x
+            reach[base | x] = reach[base | x ^ low] | reach[base | low]
+    return reach
+
+
 def _independence_row(g: MixedGraph, kind: GraphKind) -> list[bool]:
     """The criterion's verdict on each triple of `canonical_triples(g.n)`,
-    by position."""
+    by position.  The covariance and concentration readings read every
+    triple from one `_reach_table` of the graph: X and Y are independent
+    when X reaches no node of Y inside X|Y|through.  The DAG and CG
+    readings call `_independent` per triple, sharing its moral-graph
+    cache."""
     if g.n > MAX_SWEEP_NODES:
         raise SizeLimitError(f"independence sweep limited to {MAX_SWEEP_NODES} nodes")
     require_kind(g, kind)
     # Canonical triples are valid by construction, and `require_kind` has
     # checked the reading, so the test runs without the per-call checks.
+    triples = canonical_triples(g.n)
+    if kind in UG_READINGS:
+        n = g.n
+        reach = _reach_table(g.und_adj)
+        return [not reach[(t.x | t.y | through(g, kind, t.x, t.y, t.z)) << n | t.x] & t.y
+                for t in triples]
     moral: dict = {}
-    return [_independent(g, kind, t.x, t.y, t.z, moral) for t in canonical_triples(g.n)]
+    return [_independent(g, kind, t.x, t.y, t.z, moral) for t in triples]
 
 
 def all_independencies(g: MixedGraph, kind: GraphKind) -> list[CITriple]:

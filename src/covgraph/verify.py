@@ -43,11 +43,12 @@ class Report:
 
 def replay_provenance(state: ClosureState) -> Report:
     """Re-check every recorded derivation, in the order it was made:
-    dependence antecedents must be established and independence
-    antecedents certified by the criterion."""
+    dependence antecedents must be established and derived earlier, and
+    independence antecedents certified by the criterion."""
     g = state.graph
     triples = canonical_triples(g.n)
     row = state.row
+    derived = [False] * len(row)
     render = state.render
     report = Report(len(state.order))
     for p in state.order:
@@ -57,10 +58,14 @@ def replay_provenance(state: ClosureState) -> Report:
         for dep in deps:
             if not row[dep]:
                 report.violations.append(f"{render(p)}: antecedent {render(dep)} missing")
+            elif not derived[dep]:
+                report.violations.append(
+                    f"{render(p)}: antecedent {render(dep)} not derived before it")
         for ind in indeps:
             t = triples[ind]
             if not ci_independent(g, GraphKind.COVARIANCE, t.x, t.y, t.z):
                 report.violations.append(f"{render(p)}: {render(ind)} not graph-certified")
+        derived[p] = True
     return report
 
 

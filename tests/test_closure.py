@@ -26,7 +26,8 @@ from covgraph import (
     saturate,
 )
 from covgraph import verify
-from covgraph.closure import RULES, RULE_BASE, RULE_WEAK_TRANSITIVITY1, Derivation, _sites
+from covgraph.closure import (RULES, RULE_BASE, RULE_DECOMPOSITION, RULE_WEAK_TRANSITIVITY1,
+                              Derivation, _sites)
 from covgraph.graphs import disjoint_splits
 from covgraph.smallgraphs import all_ugs, random_ug
 from covgraph.verify import MAX_FAILURES_KEPT, _closure_report, theorems_sweep
@@ -206,6 +207,52 @@ class TestSaturate:
             "A ; C ; B: antecedent A ; C ; - missing",
             "A ; C ; B: A ; B ; - not graph-certified",
         ]
+
+    def test_replay_reports_circular_support(self):
+        # the last two statements derived on the path cite each other: both
+        # antecedents are established, but the earlier statement's is
+        # derived only after it
+        state = saturate(path3())
+        first, second = state.order[-2:]
+        derivations = list(state.derivations)
+        derivations[first] = (RULE_DECOMPOSITION, (second,), ())
+        derivations[second] = (RULE_DECOMPOSITION, (first,), ())
+        report = replay_provenance(replace(state, derivations=derivations))
+        assert report.checked == 8
+        assert report.violations == [
+            f"{state.render(first)}: antecedent {state.render(second)} not derived before it",
+        ]
+        # a statement citing itself is not derived before itself either
+        derivations = list(state.derivations)
+        derivations[second] = (RULE_DECOMPOSITION, (second,), ())
+        report = replay_provenance(replace(state, derivations=derivations))
+        assert report.violations == [
+            f"{state.render(second)}: antecedent {state.render(second)} not derived before it",
+        ]
+
+    def test_dependence_antecedents_come_first_in_order(self):
+        """Every dependence antecedent precedes its statement in `order`,
+        in both sweep orders, on every labeled UG of up to 4 nodes and on
+        seeded random 5- and 6-node UGs; `explain` builds its trees on
+        that order, so a deep statement explained first on a fresh state
+        reads as it does after every other statement."""
+        rng = random.Random(20261022)
+        graphs = [g for n in range(1, 5) for g in all_ugs(n)]
+        graphs += [random_ug(5, rng) for _ in range(8)]
+        graphs += [random_ug(6, rng) for _ in range(3)]
+        for g in graphs:
+            for reverse in (False, True):
+                state = saturate(g, _reverse_sweep=reverse)
+                seen = set()
+                for p in state.order:
+                    assert all(dep in seen for dep in state.derivations[p][1]), (g, reverse, p)
+                    seen.add(p)
+                if not state.order:
+                    continue
+                ordered = state.sorted_statements()
+                deep = max(ordered, key=lambda t: explain(state, t).count("\n"))
+                first = explain(saturate(g, _reverse_sweep=reverse), deep)
+                assert first == explain(state, deep) == naive_explain(state, deep)
 
     def test_matches_naive_engine(self):
         """The int-keyed engine and the tuple-keyed one make the same first

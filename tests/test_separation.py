@@ -24,7 +24,7 @@ from covgraph import (
 from covgraph import graphs, separation
 from covgraph.separation import (UG_READINGS, _dependence_row, _independence_row, _independent,
                                  dependence_witness)
-from covgraph.smallgraphs import all_ugs, default_labels
+from covgraph.smallgraphs import all_ugs, default_labels, random_ug
 from oracles import (
     all_simple_paths,
     cov_independent_bruteforce,
@@ -343,6 +343,13 @@ def random_dag(rng: random.Random) -> MixedGraph:
     return MixedGraph(n, default_labels(n), frozenset(), frozenset(dire))
 
 
+def sparse_ug(n: int, rng: random.Random) -> MixedGraph:
+    """UG on n nodes with each edge drawn with probability 1/4, so most
+    node sets induce several components."""
+    und = {(i, j) for i, j in combinations(range(n), 2) if rng.random() < 0.25}
+    return MixedGraph(n, default_labels(n), frozenset(und), frozenset())
+
+
 class TestVerdictRows:
     """The rows hold one verdict per triple of `canonical_triples(n)`, by
     position, and the `all_*` tables keep the triples their row marks."""
@@ -352,6 +359,11 @@ class TestVerdictRows:
         graphs = [g for n in range(1, 6) for g in all_ugs(n)]
         graphs += [random_dag(rng) for _ in range(30)]
         graphs += [random_chain_graph(rng) for _ in range(30)]
+        # The UG rows read a reach table indexed by (S << n | X), so the
+        # larger sizes get seeded random UGs, dense and sparse.
+        for n, count in ((6, 4), (7, 3), (8, 2)):
+            graphs += [random_ug(n, rng) for _ in range(count)]
+            graphs += [sparse_ug(n, rng) for _ in range(count)]
         for g in graphs:
             triples = canonical_triples(g.n)
             for kind in GraphKind:
@@ -374,7 +386,7 @@ class TestVerdictRows:
         def walk(*_args):
             raise AssertionError("walked before the checks")
 
-        for name in ("canonical_triples", "_independent", "_partners"):
+        for name in ("canonical_triples", "_independent", "_reach_table", "_partners"):
             monkeypatch.setattr(separation, name, walk)
         big = MixedGraph.ug(default_labels(9))
         for row in (_independence_row, _dependence_row):
