@@ -42,11 +42,9 @@ from .closure import (
 from .gaussian import (
     DEFAULT_TOL,
     GaussianModel,
-    cholesky,
     ci_test,
     concentration_graph_of,
     covariance_graph_of,
-    det,
     dump_model,
     nd_dimension,
     sample_markov_gaussian,

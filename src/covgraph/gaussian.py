@@ -7,83 +7,71 @@ it is positive definite for every draw, and its off-diagonal zeros sit
 exactly on the non-edges.  Conditional independence i | j given K holds
 iff det(sigma[{i} | K, {j} | K]) vanishes.
 
-`ci_test` answers one query with an LU determinant and a relative
-tolerance.  The sweeps read every determinant of a trial from one exact
-minor table instead (`_minors`, integer arithmetic by Sylvester's
-identity) and take an exact zero as the verdict; `ci_test` is the oracle
-tests compare that row against.
+Every verdict is exact, on the integer matrix S = sigma * 2**shift the
+model keeps.  One fraction-free elimination (`_leading_minors`)
+certifies positive definiteness and decides each `ci_test` by an exact
+zero; the sweeps read every minor of a trial from one table built on S
+by the same identity (`_minors`).  No float arithmetic decides a verdict.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from math import inf, prod, sqrt
+from math import inf
 from typing import Optional, Sequence
 
 from .graphs import MixedGraph, NodeSet, bit, iter_nodes
 
+# Graph recovery takes a tolerance and refuses a bad one; every test is
+# exact, so the value has no other effect.
 DEFAULT_TOL = 1e-9
 
 
-def det(rows: Sequence[Sequence[float]]) -> float:
-    """Determinant by LU elimination with partial pivoting."""
-    n = len(rows)
-    if n == 0:
-        return 1.0
-    a = [list(r) for r in rows]
-    sign = 1.0
-    for col in range(n):
-        piv_row = col
-        best = abs(a[col][col])
-        for r in range(col + 1, n):
-            mag = abs(a[r][col])
-            if mag > best:
-                best = mag
-                piv_row = r
-        piv = a[piv_row][col]
-        if piv == 0.0:
-            return 0.0
-        if piv_row != col:
-            a[piv_row], a[col] = a[col], a[piv_row]
-            sign = -sign
-        prow = a[col]
-        for r in range(col + 1, n):
-            f = a[r][col] / piv
-            if f:
-                row = a[r]
-                for c in range(col + 1, n):
-                    row[c] -= f * prow[c]
-    out = sign
-    for i in range(n):
-        out *= a[i][i]
-    return out
+def _leading_minors(rows: Sequence[Sequence[int]]) -> list[int]:
+    """det rows[:m, :m] for m = 1, 2, ... of an integer matrix, up to and
+    including the first that is not positive.
 
-
-def cholesky(rows: Sequence[Sequence[float]]) -> Optional[list[list[float]]]:
-    """Lower-triangular Cholesky factor, or None when not positive definite."""
-    n = len(rows)
-    low = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            s = rows[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
-            if i == j:
-                if not 0.0 < s < inf:  # NaN fails this test too
-                    return None
-                low[i][i] = sqrt(s)
-            else:
-                low[i][j] = s / low[j][j]
-    return low
+    Bareiss's fraction-free elimination without pivoting: after step m,
+    entry (r, c) with r, c > m is det rows[[0..m, r], [0..m, c]] by
+    Sylvester's identity, so each division by the previous pivot is exact
+    and entry (m + 1, m + 1) is the next leading minor.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    minors = []
+    prev = 1
+    for m in range(n):
+        top = a[m]
+        pivot = top[m]
+        minors.append(pivot)
+        if pivot <= 0:
+            break
+        for r in range(m + 1, n):
+            row = a[r]
+            first = row[m]
+            for c in range(m + 1, n):
+                row[c] = (row[c] * pivot - first * top[c]) // prev
+        prev = pivot
+    return minors
 
 
 @dataclass(frozen=True)
 class GaussianModel:
     """Mean vector and covariance matrix; construction certifies symmetry
-    and positive definiteness."""
+    and, exactly, positive definiteness.
+
+    Every float is dyadic, so S = sigma * 2**shift is an integer matrix.
+    The model keeps shift and S, row by row in one flat tuple, and sigma
+    is positive definite iff every leading principal minor of S is
+    positive (Sylvester's criterion).
+    """
 
     mean: tuple[float, ...]
     sigma: tuple[tuple[float, ...], ...]
+    _shift: int = field(init=False, repr=False, compare=False)
+    _scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.mean)
@@ -93,8 +81,17 @@ class GaussianModel:
             for j in range(i):
                 if self.sigma[i][j] != self.sigma[j][i]:
                     raise ValueError("sigma must be symmetric")
-        if cholesky(self.sigma) is None:
+        try:
+            ratios = [v.as_integer_ratio() for row in self.sigma for v in row]
+        except (OverflowError, ValueError):  # an infinite or NaN entry
+            raise ValueError("sigma must be positive definite") from None
+        shift = max([q for _p, q in ratios], default=1).bit_length() - 1
+        scaled = tuple([p << (shift + 1 - q.bit_length()) for p, q in ratios])
+        if not all(m > 0 for m in _leading_minors([scaled[r * n:(r + 1) * n]
+                                                   for r in range(n)])):
             raise ValueError("sigma must be positive definite")
+        object.__setattr__(self, "_shift", shift)
+        object.__setattr__(self, "_scaled", scaled)
 
     @property
     def n(self) -> int:
@@ -142,25 +139,23 @@ def require_tolerance(tol: float) -> None:
         raise ValueError("tolerance must be positive and finite")
 
 
-def ci_test(
-    model: GaussianModel, i: int, j: int, k: NodeSet, tol: float = DEFAULT_TOL
-) -> bool:
+def ci_test(model: GaussianModel, i: int, j: int, k: NodeSet) -> bool:
     """True when the model carries i independent of j given K.
 
-    Decided by det(sigma[{i} | K, {j} | K]) compared against tol times the
-    product of the rows' largest magnitudes.  Positive definiteness is
-    certified at model construction, which makes det(sigma[ijK, ijK])
-    positive for every query, so the determinant criterion is well posed.
+    Decided exactly: det S[K + [i], K + [j]], with K's rows and columns
+    placed first, is the last leading minor of that submatrix, and the
+    test reads independence when it is zero.  The minors before it are
+    principal minors of S, positive because construction certified S
+    positive definite, so the elimination needs no pivoting.
     """
-    require_tolerance(tol)
     n = model.n
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ValueError("i and j must be distinct nodes of the model")
     if k & (bit(i) | bit(j)) or k >> n:
         raise ValueError("K must avoid i, j and stay inside the model")
     ks = list(iter_nodes(k))
-    sub = [[model.sigma[r][c] for c in [j, *ks]] for r in [i, *ks]]
-    return abs(det(sub)) <= tol * prod(max(map(abs, row)) for row in sub)
+    s = model._scaled
+    return _leading_minors([[s[r * n + c] for c in [*ks, j]] for r in [*ks, i]])[-1] == 0
 
 
 @lru_cache(maxsize=None)
@@ -182,25 +177,22 @@ def _minor_steps(n: int) -> tuple[tuple[int, int, int, tuple[tuple[int, ...], ..
     return tuple(steps)
 
 
-def _minors(sigma: Sequence[Sequence[float]]) -> tuple[int, list[Optional[list[int]]]]:
+def _minors(model: GaussianModel) -> list[Optional[list[int]]]:
     """Every minor the determinant tests of a model read, exactly.
 
-    Returns (shift, table): S = sigma * 2**shift is an integer matrix,
-    since every float is dyadic, and table[K][a * n + b] is
-    E(a, b, K) = det S[{a} | K, {b} | K] for a != b outside K with
-    |K| <= n - 2, and for a == b with |K| <= n - 3.  Each K comes from its
-    parent P = K minus its top node k by Sylvester's identity, the step of
-    Bareiss's fraction-free elimination:
+    table[K][a * n + b] is E(a, b, K) = det S[{a} | K, {b} | K] of the
+    model's integer matrix S = sigma * 2**shift, for a != b outside K
+    with |K| <= n - 2, and for a == b with |K| <= n - 3.  Each K comes
+    from its parent P = K minus its top node k by Sylvester's identity,
+    the step of Bareiss's fraction-free elimination:
     E(a, b, K) * det S[P, P] = E(a, b, P) * E(k, k, P) - E(a, k, P) * E(k, b, P).
-    The division is exact, and det S[P, P] > 0 when sigma is positive
-    definite.  S is symmetric, so each entry is computed once for a <= b
-    and stored at both positions.
+    The division is exact, and det S[P, P] > 0 because construction
+    certified S positive definite.  S is symmetric, so each entry is
+    computed once for a <= b and stored at both positions.
     """
-    n = len(sigma)
-    ratios = [v.as_integer_ratio() for row in sigma for v in row]
-    shift = max((q for _p, q in ratios), default=1).bit_length() - 1
+    n = model.n
     table: list[Optional[list[int]]] = [None] * (1 << n)
-    table[0] = [p << (shift + 1 - q.bit_length()) for p, q in ratios]
+    table[0] = list(model._scaled)
     pivots = [1] * (1 << n)  # pivots[K] = det S[K, K]
     for mask, parent, at, cells in _minor_steps(n):
         e, d = table[parent], pivots[parent]
@@ -209,20 +201,21 @@ def _minors(sigma: Sequence[Sequence[float]]) -> tuple[int, list[Optional[list[i
         for ab, ba, ak, kb in cells:
             f[ab] = f[ba] = (e[ab] * kk - e[ak] * e[kb]) // d
         table[mask] = f
-    return shift, table
+    return table
 
 
 def _graph_of(
     model: GaussianModel, tol: float, labels: Sequence[str], given: NodeSet
 ) -> MixedGraph:
-    """UG joining exactly the pairs i, j dependent given `given` minus i, j."""
+    """UG joining exactly the pairs i, j dependent given `given` minus i, j.
+    `tol` is checked and has no other effect: every test is exact."""
     require_tolerance(tol)
     n = model.n
     edges = frozenset(
         (i, j)
         for i in range(n)
         for j in range(i + 1, n)
-        if not ci_test(model, i, j, given & ~bit(i) & ~bit(j), tol)
+        if not ci_test(model, i, j, given & ~bit(i) & ~bit(j))
     )
     return MixedGraph(n, tuple(labels), edges, frozenset())
 

@@ -152,7 +152,7 @@ def _trials(
     plan = [(k, i * n + j) for i, j, k, _verdict in table]
     expected = [verdict for _i, _j, _k, verdict in table]
     for t in range(trials):
-        _shift, minors = _minors(sample_markov_gaussian(g, trial_seed(seed, t)).sigma)
+        minors = _minors(sample_markov_gaussian(g, trial_seed(seed, t)))
         row = [not minors[k][ij] for k, ij in plan]
         yield row, sum(map(ne, row, expected))
 

@@ -212,30 +212,32 @@ def has_semi_directed_cycle(g: MixedGraph) -> bool:
     return False
 
 
-def det_cofactor(rows) -> float:
-    """Determinant by first-row cofactor expansion."""
+def det_cofactor(rows):
+    """Determinant by first-row cofactor expansion; exact on integer or
+    Fraction entries."""
     n = len(rows)
     if n == 0:
-        return 1.0
+        return 1
     if n == 1:
-        return float(rows[0][0])
-    total = 0.0
+        return rows[0][0]
+    total = 0
     for col in range(n):
         entry = rows[0][col]
-        if entry == 0.0:
+        if entry == 0:
             continue
         minor = [[row[c] for c in range(n) if c != col] for row in rows[1:]]
-        total += ((-1.0) ** col) * entry * det_cofactor(minor)
+        total += (-1) ** col * entry * det_cofactor(minor)
     return total
 
 
-def inverse_adjugate(rows) -> list[list[float]]:
+def inverse_adjugate(rows) -> list[list]:
+    """The inverse as adjugate over determinant; exact on Fraction entries."""
     n = len(rows)
     d = det_cofactor(rows)
-    out = [[0.0] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             minor = [[rows[r][c] for c in range(n) if c != i]
                      for r in range(n) if r != j]
-            out[i][j] = ((-1.0) ** (i + j)) * det_cofactor(minor) / d
+            out[i][j] = (-1) ** (i + j) * det_cofactor(minor) / d
     return out

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 from covgraph import (
     CITriple,
@@ -14,7 +15,6 @@ from covgraph import (
     GraphKind,
     MixedGraph,
     bit,
-    cholesky,
     ci_independent,
     ci_test,
     cov_dependent,
@@ -134,6 +134,21 @@ def test_criterion_6_gaussian_corollaries():
     )
 
 
+def _leading_minors_positive(sigma) -> bool:
+    """Sylvester's criterion in Fraction arithmetic: elimination without
+    pivoting meets only positive pivots iff every leading principal minor
+    of sigma is positive."""
+    a = [[Fraction(v) for v in row] for row in sigma]
+    for c in range(len(a)):
+        if a[c][c] <= 0:
+            return False
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            for col in range(c, len(a)):
+                a[r][col] -= f * a[c][col]
+    return True
+
+
 def test_criterion_7_construction_validity():
     import random
 
@@ -144,7 +159,7 @@ def test_criterion_7_construction_validity():
             for seed in (0, 1, 2):
                 m = sample_markov_gaussian(g, seed)
                 checked += 1
-                if cholesky(m.sigma) is None:
+                if not _leading_minors_positive(m.sigma):
                     ok = False
                 if nd_dimension(g) != 2 * g.n + len(g.undirected):
                     ok = False
@@ -154,14 +169,15 @@ def test_criterion_7_construction_validity():
             g = random_ug(n, rng)
             m = sample_markov_gaussian(g, rng.getrandbits(32))
             checked += 1
-            if cholesky(m.sigma) is None:
+            if not _leading_minors_positive(m.sigma):
                 ok = False
             if nd_dimension(g) != 2 * g.n + len(g.undirected):
                 ok = False
     _criterion(
         7,
-        "every sampled covariance matrix passes a positive-definite "
-        "factorization and the free-parameter count is 2|V| + |edges|",
+        "every sampled covariance matrix has all leading principal minors "
+        "positive in exact arithmetic and the free-parameter count is "
+        "2|V| + |edges|",
         ok,
         f"models={checked}",
     )

@@ -22,14 +22,12 @@ from covgraph import (
     all_independencies,
     bit,
     canonical_triples,
-    cholesky,
     ci_independent,
     ci_test,
     concentration_graph_of,
     connectivity_components,
     cov_dependent,
     covariance_graph_of,
-    det,
     dump_model,
     faithfulness_report,
     iter_nodes,
@@ -38,7 +36,7 @@ from covgraph import (
     submasks,
     trial_seed,
 )
-from covgraph.gaussian import _minors
+from covgraph.gaussian import _leading_minors, _minors
 from covgraph.separation import _dependence_row, _independence_row
 from covgraph.verify import (_entries_given, _recovered, _recovery_ok, _trials,
                              corollaries_sweep, pair_verdicts)
@@ -53,45 +51,72 @@ def cycle4():
     return MixedGraph.ug("ABCD", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
 
 
-finite_floats = st.floats(min_value=-10, max_value=10,
-                          allow_nan=False, allow_infinity=False)
+class TestLeadingMinors:
+    """`_leading_minors`, the one exact elimination behind the model's
+    certificate and `ci_test`."""
+
+    def test_known_values(self):
+        assert _leading_minors([]) == []
+        assert _leading_minors([[7]]) == [7]
+        assert _leading_minors([[2, 1], [1, 2]]) == [2, 3]
+        assert _leading_minors([[1, 2], [2, 4]]) == [1, 0]
+        assert _leading_minors([[1, 2], [3, 4]]) == [1, -2]
+        # the first minor that is not positive ends the elimination
+        assert _leading_minors([[0, 1], [1, 0]]) == [0]
+        assert _leading_minors([[1, 0, 0], [0, -1, 0], [0, 0, 1]]) == [1, -1]
+
+    def test_matches_cofactor_expansion(self):
+        rng = random.Random(20261023)
+        complete = stopped = 0
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.5:
+                for i in range(n):
+                    rows[i][i] = 9 * n  # strictly diagonally dominant: all minors > 0
+            minors = _leading_minors(rows)
+            expect = [det_cofactor([row[:m] for row in rows[:m]]) for m in range(1, n + 1)]
+            assert minors == expect[:len(minors)], rows
+            assert all(m > 0 for m in minors[:-1])
+            if len(minors) < n:
+                assert minors[-1] <= 0
+                stopped += 1
+            complete += len(minors) == n
+        assert complete > 200 and stopped > 50
+
+
+def last_minor(rows):
+    """det rows, read as `ci_test` reads it: the last leading minor, when
+    every earlier one is positive."""
+    minors = _leading_minors(rows)
+    assert len(minors) == len(rows) and all(m > 0 for m in minors[:-1])
+    return minors[-1]
 
 
 class TestDeterminant:
+    """The determinant a `ci_test` verdict reads: exact, with no residue."""
+
     def test_known_values(self):
-        assert det([]) == 1.0
-        assert det([[7.0]]) == 7.0
-        assert det([[2.0, 0.5], [0.5, 2.0]]) == pytest.approx(3.75)
-        assert det([[1.0, 2.0], [2.0, 4.0]]) == pytest.approx(0.0)
-        assert det([[0.0, 1.0], [1.0, 0.0]]) == pytest.approx(-1.0)
+        assert last_minor([[7]]) == 7
+        assert last_minor([[4, 1], [1, 4]]) == 15  # [[2, .5], [.5, 2]] * 2
+        assert last_minor([[1, 2], [2, 4]]) == 0
+        assert last_minor([[1, 2], [3, 4]]) == -2
+        assert last_minor([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) == 4
+        # the scaled submatrix of a model: det [[2, .5], [.5, 2]] = 3.75 != 0
+        m = GaussianModel((0.0, 0.0), ((2.0, 0.5), (0.5, 2.0)))
+        assert last_minor([m._scaled[:2], m._scaled[2:]]) == 15
+        assert not ci_test(m, 0, 1, 0)
 
     def test_zero_column_exact(self):
-        assert det([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]]) == 0.0
-
-    @given(st.integers(1, 5), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_cofactor_expansion(self, n, data):
-        rows = [[data.draw(finite_floats) for _ in range(n)] for _ in range(n)]
-        expect = det_cofactor(rows)
-        got = det(rows)
-        assert got == pytest.approx(expect, rel=1e-9, abs=1e-7)
-
-
-class TestCholesky:
-    def test_reconstructs_pd_matrix(self):
-        m = [[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]]
-        low = cholesky(m)
-        assert low is not None
-        n = 3
-        for i in range(n):
-            for j in range(n):
-                got = sum(low[i][k] * low[j][k] for k in range(n))
-                assert got == pytest.approx(m[i][j])
-
-    def test_rejects_non_pd(self):
-        assert cholesky([[0.0]]) is None
-        assert cholesky([[-1.0]]) is None
-        assert cholesky([[1.0, 2.0], [2.0, 1.0]]) is None
+        # a zero column makes the determinant exactly 0, wherever it sits
+        assert _leading_minors([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == [0]
+        assert last_minor([[3, 1, 0], [1, 3, 0], [2, 5, 0]]) == 0
+        # node 2 is uncorrelated with 0 and 1: independent given any K
+        m = GaussianModel((0.0,) * 3, ((1.5, 0.375, 0.0),
+                                       (0.375, 1.25, 0.0),
+                                       (0.0, 0.0, 0.75)))
+        assert ci_test(m, 0, 2, 0) and ci_test(m, 0, 2, bit(1))
+        assert not ci_test(m, 0, 1, 0) and not ci_test(m, 0, 1, bit(2))
 
 
 class TestGaussianModel:
@@ -113,6 +138,37 @@ class TestGaussianModel:
         # NaN fails every comparison, so a `pivot <= 0` test lets it through
         with pytest.raises(ValueError, match="positive definite"):
             GaussianModel((0.0,) * len(sigma), sigma)
+
+    def test_rejects_non_pd(self):
+        for sigma in (((0.0,),), ((-1.0,),), ((1.0, 2.0), (2.0, 1.0))):
+            with pytest.raises(ValueError, match="positive definite"):
+                GaussianModel((0.0,) * len(sigma), sigma)
+
+    def test_accepts_exactly_the_positive_definite_integer_matrices(self):
+        # of the 729 symmetric 4 x 4 matrices with diagonal 2 and
+        # off-diagonals in {-1, 0, 1}, 56 are exactly singular; a float
+        # Cholesky factor accepts them, the exact leading minors do not
+        pairs = list(combinations(range(4), 2))
+        accepted = []
+        for entries in product((-1.0, 0.0, 1.0), repeat=len(pairs)):
+            sigma = [[2.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+            for (i, j), v in zip(pairs, entries):
+                sigma[i][j] = sigma[j][i] = v
+            try:
+                model_of(sigma)
+            except ValueError as err:
+                assert str(err) == "sigma must be positive definite"
+            else:
+                accepted.append(sigma)
+        assert accepted == [sigma for _g, sigma in integer_models()]
+        assert len(accepted) == 393
+
+    def test_keeps_the_scaled_integer_matrix(self):
+        m = GaussianModel((0.0, 0.0), ((2.0, 0.375), (0.375, 1.5)))
+        assert m._shift == 3
+        assert m._scaled == (16, 3, 3, 12)
+        assert m == GaussianModel((0.0, 0.0), ((2.0, 0.375), (0.375, 1.5)))
+        assert "_scaled" not in repr(m)
 
 
 class TestSampling:
@@ -153,8 +209,8 @@ class TestSampling:
             faithfulness_report(g, 1, -1)
 
     def test_every_draw_is_positive_definite(self):
-        # construction runs the Cholesky certificate; Gershgorin guarantees
-        # it succeeds for every seed
+        # construction runs the exact leading-minor certificate; Gershgorin
+        # guarantees it succeeds for every seed
         rng = random.Random(4)
         for n in range(1, 7):
             for _ in range(10):
@@ -201,9 +257,47 @@ class TestCiTest:
             ci_test(m, 0, 0, 0)
         with pytest.raises(ValueError):
             ci_test(m, 0, 1, bit(1))
-        for tol in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="tolerance"):
-                ci_test(m, 0, 1, 0, tol=tol)
+
+    def test_matches_fraction_determinants(self):
+        # every (i, j, K) of the 393 integer models, whose exact
+        # cancellations sampled floats never produce, and of sampled models
+        rng = random.Random(20261024)
+        sigmas = [sigma for _g, sigma in integer_models()]
+        sigmas += [sample_markov_gaussian(random_ug(n, rng), rng.getrandbits(32)).sigma
+                   for n in range(2, 7) for _ in range(12)]
+        checked = independent = 0
+        for sigma in sigmas:
+            model = model_of(sigma)
+            n = model.n
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    for k in submasks(((1 << n) - 1) & ~bit(i) & ~bit(j)):
+                        ks = list(iter_nodes(k))
+                        sub = [[sigma[r][c] for c in [j, *ks]] for r in [i, *ks]]
+                        zero = exact_det(sub) == 0
+                        assert ci_test(model, i, j, k) == zero, (sigma, i, j, k)
+                        checked += 1
+                        independent += zero
+        assert checked > 25_000 and 0 < independent < checked
+
+    def test_no_single_test_builds_the_subset_table(self, monkeypatch):
+        # the certificate and ci_test are polynomial: neither may build
+        # the 2**n table of _minors
+        def refuse(*args):
+            raise AssertionError("_minors called")
+
+        monkeypatch.setattr("covgraph.gaussian._minors", refuse)
+        monkeypatch.setattr("covgraph.gaussian._minor_steps", refuse)
+        n = 24
+        g = MixedGraph(n, tuple(f"v{v}" for v in range(n)),
+                       frozenset((v, v + 1) for v in range(n - 1)), frozenset())
+        m = sample_markov_gaussian(g, 11)
+        rest = ((1 << n) - 1) & ~bit(0) & ~bit(n - 1)
+        assert rest.bit_count() == 22
+        assert not ci_test(m, 0, n - 1, rest)  # the path 0..23 joins them
+        assert ci_test(m, 0, n - 1, 0)
 
 
 class TestGraphRecovery:
@@ -239,12 +333,12 @@ class TestGraphRecovery:
         for _ in range(20):
             g = random_ug(4, rng)
             m = sample_markov_gaussian(g, rng.getrandbits(32))
-            inv = inverse_adjugate([list(r) for r in m.sigma])
+            inv = inverse_adjugate([[Fraction(v) for v in r] for r in m.sigma])
             conc = concentration_graph_of(m, DEFAULT_TOL, g.labels)
             for i in range(4):
                 for j in range(i + 1, 4):
                     has_edge = (i, j) in conc.undirected
-                    assert has_edge == (abs(inv[i][j]) > 1e-9), (g.undirected, i, j)
+                    assert has_edge == (inv[i][j] != 0), (g.undirected, i, j)
 
 
 class TestPairVerdicts:
@@ -319,21 +413,23 @@ class TestTrialRows:
     @staticmethod
     def _artifact_trial():
         # graph 78 of corollaries_sweep(5, 100, 0), trial 23: the one trial
-        # of criterion 6 that ci_test's tolerance reads as unfaithful
+        # of criterion 6 that a float determinant with a relative
+        # tolerance read as unfaithful
         g = [g for n in range(1, 6) for g in connected_ugs(n)][78]
         assert sorted(g.undirected) == [(0, 3), (1, 2), (1, 3), (1, 4)]
         seed = 7919 * 78
         return g, seed, pair_verdicts(g), sample_markov_gaussian(g, trial_seed(seed, 23))
 
     def test_rows_match_on_the_tolerance_artifact_trial(self):
-        # the row reads the criterion; ci_test flips two dependences, whose
-        # exactly nonzero minors fall under its tolerance
+        # the row and ci_test both read the criterion; the tolerance test
+        # flipped two dependences, (0, 4, 0b01110) and (0, 4, 0b01010),
+        # whose exactly nonzero minors fell under it
         g, seed, table, model = self._artifact_trial()
         row, bad = list(_trials(g, table, 24, seed))[23]
         assert bad == 0
         assert row == [v for _i, _j, _k, v in table]
         flipped = [(i, j, k) for i, j, k, v in table if ci_test(model, i, j, k) != v]
-        assert flipped == [(0, 4, 0b01110), (0, 4, 0b01010)]
+        assert flipped == []
 
     def test_exact_zeros_match_criterion_on_the_tolerance_artifact_trial(self):
         # the same trial by Fraction elimination, independent of _minors:
@@ -371,6 +467,11 @@ class TestTrialRows:
             same_components = len({tuple(connectivity_components(h)) for h in graphs}) == 1
             outcomes.add((same_components, self._check_recovery(g, table, row, *graphs)))
         assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def model_of(sigma) -> GaussianModel:
+    """The zero-mean model of a square matrix given as rows."""
+    return GaussianModel((0.0,) * len(sigma), tuple(map(tuple, sigma)))
 
 
 def exact_det(rows) -> Fraction:
@@ -417,7 +518,8 @@ class TestMinors:
     @staticmethod
     def _check_against_fractions(sigma):
         n = len(sigma)
-        shift, table = _minors(sigma)
+        model = model_of(sigma)
+        shift, table = model._shift, _minors(model)
         checked = 0
         for k in range(1 << n):
             if k.bit_count() > n - 2:
@@ -453,7 +555,7 @@ class TestMinors:
         # show as some nonzero E(i, j, Z), an independence as all zero.
         unfaithful = 0
         for g, sigma in integer_models():
-            _shift, minors = _minors(sigma)
+            minors = _minors(model_of(sigma))
 
             def vanishes(t):
                 return all(minors[t.z][i * 4 + j] == 0
@@ -475,8 +577,9 @@ def vanishing_row(sigma) -> list[bool]:
     E(i, j, Z) with i in X, j in Y is exactly zero, read from `_minors`
     of an integer sigma."""
     n = len(sigma)
-    shift, minors = _minors(sigma)
-    assert shift == 0
+    model = model_of(sigma)
+    assert model._shift == 0
+    minors = _minors(model)
     return [all(minors[t.z][i * n + j] == 0 for i in iter_nodes(t.x) for j in iter_nodes(t.y))
             for t in canonical_triples(n)]
 
@@ -602,9 +705,10 @@ class TestCorollariesSweep:
     models or a failing recovery check."""
 
     def test_mended_tolerance_failure(self):
-        # ci_test's tolerance reads two exactly nonzero minors of trial 0
-        # of graph 7 as zero, which put that graph at 3 of 4 faithful
-        # trials; the exact minors read all 176 trials as faithful
+        # a float determinant with a relative tolerance read two exactly
+        # nonzero minors of trial 0 of graph 7, (0, 2, 0b1010) and
+        # (2, 3, 0b0011), as zero, which put that graph at 3 of 4 faithful
+        # trials; the exact minors, and ci_test, read all 176 as faithful
         seed = 2332443261
         r = corollaries_sweep(4, 4, seed)
         assert r["passed"]
@@ -613,7 +717,7 @@ class TestCorollariesSweep:
         assert sorted(g.undirected) == [(0, 1), (0, 3), (1, 2)]
         model = sample_markov_gaussian(g, trial_seed(seed + 7919 * 7, 0))
         flipped = [(i, j, k) for i, j, k, v in pair_verdicts(g) if ci_test(model, i, j, k) != v]
-        assert flipped == [(0, 2, 0b1010), (2, 3, 0b0011)]
+        assert flipped == []
 
     def test_unfaithful_models_fail_the_threshold(self, monkeypatch):
         monkeypatch.setattr("covgraph.verify.sample_markov_gaussian", complete_graph_model)
