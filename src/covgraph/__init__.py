@@ -6,6 +6,7 @@ from .graphs import (
     MAX_NODES,
     GraphKind,
     GraphParseError,
+    LatentDag,
     MixedGraph,
     NodeSet,
     SizeLimitError,
@@ -15,7 +16,9 @@ from .graphs import (
     format_graph,
     format_nodeset,
     is_chain_graph,
+    is_forest,
     iter_nodes,
+    latent_dag,
     parse_graph,
     submasks,
 )
@@ -50,7 +53,6 @@ from .gaussian import (
     sample_markov_gaussian,
     trial_seed,
 )
-from .transforms import LatentDag, is_forest, latent_dag
 from .verify import (
     Report,
     faithfulness_report,

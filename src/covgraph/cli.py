@@ -18,10 +18,10 @@ from typing import Sequence
 
 from .closure import explain, saturate
 from .gaussian import dump_model, nd_dimension, sample_markov_gaussian
-from .graphs import GraphKind, GraphParseError, MixedGraph, format_graph, iter_nodes, parse_graph
+from .graphs import (GraphKind, GraphParseError, MixedGraph, format_graph, iter_nodes, latent_dag,
+                     parse_graph)
 from .separation import (UG_READINGS, CITriple, canonical_triples, ci_independent,
                          dependence_witness)
-from .transforms import latent_dag
 from .verify import (
     MIN_FAITHFUL_FRACTION,
     corollaries_sweep,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import inf
+from math import inf, isfinite
 from typing import Optional, Sequence
 
 from .graphs import MixedGraph, NodeSet, bit, iter_nodes
@@ -77,6 +77,8 @@ class GaussianModel:
         n = len(self.mean)
         if len(self.sigma) != n or any(len(row) != n for row in self.sigma):
             raise ValueError("sigma must be square and match the mean length")
+        if not all(map(isfinite, self.mean)):
+            raise ValueError("mean must be finite")
         for i in range(n):
             for j in range(i):
                 if self.sigma[i][j] != self.sigma[j][i]:

@@ -333,3 +333,51 @@ def is_chain_graph(g: MixedGraph) -> bool:
             if indeg[d] == 0:
                 queue.append(d)
     return seen == k
+
+
+@dataclass(frozen=True)
+class LatentDag:
+    """DAG over the original nodes plus one latent collider per edge."""
+
+    dag: MixedGraph
+    latents: tuple[tuple[int, int, int], ...]  # (a, b, latent index)
+
+
+def latent_dag(g: MixedGraph) -> LatentDag:
+    """Replace each edge A - B by A <- L -> B with a fresh latent L.
+
+    Original nodes keep their indices (and gain no outgoing arrows);
+    latents are appended in sorted edge order and named after their
+    endpoints' labels.  d-separation in the result, over the original
+    nodes, matches the covariance criterion on g exactly;
+    `covgraph.verify` checks this triple by triple.
+    """
+    if g.directed:
+        raise ValueError("the latent construction starts from an undirected graph")
+    edges = sorted(g.undirected)
+    if g.n + len(edges) > MAX_NODES:
+        raise SizeLimitError("latent construction would exceed the node capacity")
+    labels = list(g.labels)
+    arrows = []
+    latents = []
+    for idx, (a, b) in enumerate(edges):
+        latent = g.n + idx
+        name = "L_{}_{}".format(*sorted((g.labels[a], g.labels[b])))
+        if name in g.label_index or name in labels[g.n:]:
+            raise ValueError(f"latent label {name!r} collides with an existing label")
+        labels.append(name)
+        arrows.append((latent, a))
+        arrows.append((latent, b))
+        latents.append((a, b, latent))
+    dag = MixedGraph(len(labels), tuple(labels), frozenset(), frozenset(arrows))
+    return LatentDag(dag, tuple(latents))
+
+
+def is_forest(g: MixedGraph) -> bool:
+    """True iff the undirected graph is acyclic.  On a forest the
+    single-path dependence criterion is the exact complement of the
+    independence criterion; `covgraph.verify` checks this triple by
+    triple."""
+    if g.directed:
+        raise ValueError("forest test is defined for undirected graphs")
+    return len(g.undirected) == g.n - len(connectivity_components(g))

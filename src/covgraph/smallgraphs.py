@@ -7,8 +7,7 @@ import string
 from itertools import combinations
 from typing import Iterator
 
-from .graphs import MixedGraph, connectivity_components
-from .transforms import is_forest
+from .graphs import MixedGraph, connectivity_components, is_forest
 
 
 def default_labels(n: int) -> tuple[str, ...]:

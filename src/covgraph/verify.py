@@ -16,11 +16,10 @@ from typing import Iterator
 from .closure import MAX_CLOSURE_NODES, RULES, ClosureState, saturate
 from .gaussian import _minors, sample_markov_gaussian, trial_seed
 from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit, components,
-                     iter_nodes, submasks)
-from .separation import (_dependence_row, _independence_row, _independent, canonical_triples,
-                         ci_independent, require_kind)
+                     is_forest, iter_nodes, latent_dag, submasks)
+from .separation import (_dependence_row, _independence_row, _independent, _reach_table,
+                         canonical_triples, ci_independent, require_kind)
 from .smallgraphs import all_forests, all_ugs, connected_ugs, random_ug
-from .transforms import is_forest, latent_dag
 
 MAX_LATENT_NODES = 5
 MAX_FOREST_NODES = 6
@@ -130,11 +129,14 @@ class FaithfulnessReport:
 def pair_verdicts(g: MixedGraph) -> list[tuple[int, int, NodeSet, bool]]:
     """(i, j, K, verdict) for every pair i < j and every K avoiding both,
     where verdict is the covariance criterion on i independent of j given
-    K: the table a model's determinant tests are compared against."""
+    K, read from the graph's one `_reach_table`: the table a model's
+    determinant tests are compared against."""
     require_kind(g, GraphKind.COVARIANCE)
-    return [(i, j, k, _independent(g, GraphKind.COVARIANCE, bit(i), bit(j), k, {}))
-            for i in range(g.n)
-            for j in range(i + 1, g.n)
+    n = g.n
+    reach = _reach_table(g.und_adj)
+    return [(i, j, k, not reach[(bit(i) | bit(j) | k) << n | bit(i)] & bit(j))
+            for i in range(n)
+            for j in range(i + 1, n)
             for k in submasks(g.full_mask & ~bit(i) & ~bit(j))]
 
 

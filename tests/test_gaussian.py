@@ -139,6 +139,17 @@ class TestGaussianModel:
         with pytest.raises(ValueError, match="positive definite"):
             GaussianModel((0.0,) * len(sigma), sigma)
 
+    @pytest.mark.parametrize("bad", [nan, inf, -inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_mean(self, bad):
+        # json.dumps would write such a mean as NaN or Infinity, not JSON
+        for mean in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="mean must be finite"):
+                GaussianModel(mean, ((1.0, 0.0), (0.0, 1.0)))
+
+    def test_accepts_finite_means(self):
+        for mean in ((0.0, 0.0), (-2.5, 1e300), (3, -7)):
+            assert GaussianModel(mean, ((1.0, 0.0), (0.0, 1.0))).mean == mean
+
     def test_rejects_non_pd(self):
         for sigma in (((0.0,),), ((-1.0,),), ((1.0, 2.0), (2.0, 1.0))):
             with pytest.raises(ValueError, match="positive definite"):
@@ -359,6 +370,20 @@ class TestPairVerdicts:
         for i, j, k, verdict in table:
             assert i < j and not k & (bit(i) | bit(j))
             assert verdict == ci_independent(g, COV, bit(i), bit(j), k)
+
+
+class TestPairVerdictsReachTable:
+    def test_answers_without_the_per_triple_kernel(self, monkeypatch):
+        # every verdict comes from the graph's one reach table, so the
+        # per-triple kernel is never called
+        def refuse(*args):
+            raise AssertionError("_independent called")
+
+        monkeypatch.setattr("covgraph.verify._independent", refuse)
+        for n in range(1, 6):
+            for g in connected_ugs(n):
+                for i, j, k, verdict in pair_verdicts(g):
+                    assert verdict == ci_independent(g, COV, bit(i), bit(j), k), g.undirected
 
 
 def reference_recovery_ok(cov: MixedGraph, conc: MixedGraph) -> bool:
