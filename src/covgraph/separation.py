@@ -105,12 +105,13 @@ def require_kind(g: MixedGraph, kind: GraphKind) -> None:
         raise ValueError("cg reading requires a chain graph")
 
 
-def through(g: MixedGraph, kind: GraphKind, x: NodeSet, y: NodeSet, z: NodeSet) -> NodeSet:
-    """The nodes an X-Y path may use besides X and Y under the reading:
-    Z for covariance, the complement of X|Y|Z otherwise.  The covariance
-    reading of (X, Y, Z) is the concentration reading of (X, Y, V minus
-    X|Y|Z), so this is the one place the two readings differ."""
-    return z if kind is COVARIANCE else g.full_mask & ~(x | y | z)
+def through(full: NodeSet, kind: GraphKind, x: NodeSet, y: NodeSet, z: NodeSet) -> NodeSet:
+    """The nodes an X-Y path may use besides X and Y under the reading,
+    among the nodes `full`: Z for covariance, the complement of X|Y|Z
+    otherwise.  The covariance reading of (X, Y, Z) is the concentration
+    reading of (X, Y, V minus X|Y|Z), so this is the one place the two
+    readings differ."""
+    return z if kind is COVARIANCE else full & ~(x | y | z)
 
 
 def _moral_adj_within(g: MixedGraph, inside: NodeSet) -> list[NodeSet]:
@@ -142,7 +143,7 @@ def _independent(
     if not g.directed:
         # Without arrows the ancestral set is a union of components and
         # moralization adds nothing: no X-Y path may stay in X|Y|through.
-        return not (reachable(g.und_adj, x, x | y | through(g, kind, x, y, z)) & y)
+        return not (reachable(g.und_adj, x, x | y | through(g.full_mask, kind, x, y, z)) & y)
     inside = x | y | z
     entry = moral.get(inside)
     if entry is None:
@@ -172,11 +173,16 @@ def canonical_triples(n: int) -> tuple[CITriple, ...]:
     return tuple(out)
 
 
-def _reach_table(adj: Sequence[NodeSet]) -> list[NodeSet]:
+@lru_cache(maxsize=1)
+def _reach_table(adj: tuple[NodeSet, ...]) -> tuple[NodeSet, ...]:
     """`reach[s << n | x]`, for each node set s and each x inside it: the
     nodes of s that x reaches inside the subgraph induced by s.  One
     `reachable` pass per component of each s; the component masks are
-    then folded over the subsets of s in increasing order."""
+    then folded over the subsets of s in increasing order.
+
+    Memoized on the adjacency tuple for the last graph: the sweeps read a
+    graph's independence and dependence rows back to back, so both read
+    one table, a tuple because every caller shares it."""
     n = len(adj)
     reach = [0] * (1 << 2 * n)
     for s in range(1, 1 << n):
@@ -194,29 +200,36 @@ def _reach_table(adj: Sequence[NodeSet]) -> list[NodeSet]:
             x = (x - s) & s  # the subsets of s in increasing order
             low = x & -x
             reach[base | x] = reach[base | x ^ low] | reach[base | low]
-    return reach
+    return tuple(reach)
+
+
+@lru_cache(maxsize=None)
+def _independence_plan(n: int, kind: GraphKind) -> tuple[tuple[int, NodeSet], ...]:
+    """(reach index, Y) for each triple of `canonical_triples(n)` under a
+    UG reading.  The index is `(X|Y|through) << n | X`: `(X|Y|Z) << n | X`
+    for covariance and `(V minus Z) << n | X` for concentration."""
+    full = (1 << n) - 1
+    return tuple(((t.x | t.y | through(full, kind, t.x, t.y, t.z)) << n | t.x, t.y)
+                 for t in canonical_triples(n))
 
 
 def _independence_row(g: MixedGraph, kind: GraphKind) -> list[bool]:
     """The criterion's verdict on each triple of `canonical_triples(g.n)`,
     by position.  The covariance and concentration readings read every
-    triple from one `_reach_table` of the graph: X and Y are independent
-    when X reaches no node of Y inside X|Y|through.  The DAG and CG
-    readings call `_independent` per triple, sharing its moral-graph
-    cache."""
+    triple from the graph's `_reach_table` through `_independence_plan`:
+    X and Y are independent when X reaches no node of Y inside
+    X|Y|through.  The DAG and CG readings call `_independent` per triple,
+    sharing its moral-graph cache."""
     if g.n > MAX_SWEEP_NODES:
         raise SizeLimitError(f"independence sweep limited to {MAX_SWEEP_NODES} nodes")
     require_kind(g, kind)
     # Canonical triples are valid by construction, and `require_kind` has
     # checked the reading, so the test runs without the per-call checks.
-    triples = canonical_triples(g.n)
     if kind in UG_READINGS:
-        n = g.n
         reach = _reach_table(g.und_adj)
-        return [not reach[(t.x | t.y | through(g, kind, t.x, t.y, t.z)) << n | t.x] & t.y
-                for t in triples]
+        return [not reach[i] & y for i, y in _independence_plan(g.n, kind)]
     moral: dict = {}
-    return [_independent(g, kind, t.x, t.y, t.z, moral) for t in triples]
+    return [_independent(g, kind, t.x, t.y, t.z, moral) for t in canonical_triples(g.n)]
 
 
 def all_independencies(g: MixedGraph, kind: GraphKind) -> list[CITriple]:
@@ -255,20 +268,23 @@ class PathWitness:
         return "-".join(labels[v] for v in self.nodes)
 
 
-def _unique_path(
-    adj: Sequence[NodeSet], a: int, b: int, allowed: NodeSet
-) -> Optional[PathWitness]:
+def _unique_path(adj: Sequence[NodeSet], a: int, b: int, allowed: NodeSet,
+                 reach: Optional[Sequence[NodeSet]] = None) -> Optional[PathWitness]:
     """The simple path a..b inside `allowed` if it is the only one, else
     None.  `a` and `b` must differ and both lie in `allowed`.
 
     Walks back from b: every a..v path enters v from the part of `allowed`
     that a reaches without v, so v needs exactly one neighbor u there, and
-    the a..v paths are then exactly the a..u paths inside that part.
+    the a..v paths are then exactly the a..u paths inside that part.  Each
+    step looks that part up in `reach`, the graph's `_reach_table`, when
+    given one, and calls `reachable` otherwise.
     """
+    n = len(adj)
     path = [b]
     v = b
     while v != a:
-        allowed = reachable(adj, 1 << a, allowed & ~(1 << v))
+        rest = allowed & ~(1 << v)
+        allowed = reachable(adj, 1 << a, rest) if reach is None else reach[rest << n | 1 << a]
         entry = adj[v] & allowed
         if not entry or entry & (entry - 1):
             return None
@@ -288,10 +304,10 @@ def dependence_witness(
     g: MixedGraph, kind: GraphKind, x: NodeSet, y: NodeSet, z: NodeSet
 ) -> Optional[PathWitness]:
     """The unique simple path of the first pair A in X, B in Y that has
-    exactly one path inside {A, B} | `through(g, kind, x, y, z)`, or None."""
+    exactly one path inside {A, B} | `through`, or None."""
     check_triple(g, x, y, z)
     _require_reading(g, kind)
-    via = through(g, kind, x, y, z)
+    via = through(g.full_mask, kind, x, y, z)
     adj = g.und_adj
     for a in iter_nodes(x):
         for b in iter_nodes(y):
@@ -326,15 +342,16 @@ def conc_dependent(g: MixedGraph, x: NodeSet, y: NodeSet, z: NodeSet) -> bool:
     return dependence_witness(g, CONCENTRATION, x, y, z) is not None
 
 
-def _partners(adj: Sequence[NodeSet], through: NodeSet) -> list[NodeSet]:
+def _partners(adj: Sequence[NodeSet], through: NodeSet, table: Sequence[NodeSet]) -> list[NodeSet]:
     """`reach[x]`, for each set x outside `through`: the nodes b outside it
     that some a in x joins by exactly one simple path inside {a, b} | `through`.
-    The path is unique from both ends, so each pair is walked once."""
+    The path is unique from both ends, so each pair is walked once, by
+    lookups in `table`, the graph's `_reach_table`."""
     free = ((1 << len(adj)) - 1) & ~through
     reach = [0] * (free + 1)
     for a in iter_nodes(free):
         for b in iter_nodes(free & -(2 << a)):
-            if _unique_path(adj, a, b, through | bit(a) | bit(b)) is not None:
+            if _unique_path(adj, a, b, through | bit(a) | bit(b), table) is not None:
                 reach[bit(a)] |= bit(b)
                 reach[bit(b)] |= bit(a)
     x = 0
@@ -345,21 +362,31 @@ def _partners(adj: Sequence[NodeSet], through: NodeSet) -> list[NodeSet]:
     return reach
 
 
+@lru_cache(maxsize=None)
+def _dependence_plan(n: int, kind: GraphKind) -> tuple[tuple[NodeSet, NodeSet, NodeSet], ...]:
+    """(`through`, X, Y) for each triple of `canonical_triples(n)` under a
+    UG reading."""
+    full = (1 << n) - 1
+    return tuple((through(full, kind, t.x, t.y, t.z), t.x, t.y) for t in canonical_triples(n))
+
+
 def _dependence_row(g: MixedGraph, kind: GraphKind) -> list[bool]:
     """The kind's dependence verdict on each triple of
-    `canonical_triples(g.n)`, by position, read from one `_partners` table
-    per `through` set."""
+    `canonical_triples(g.n)`, by position, through `_dependence_plan`:
+    one `_partners` table per `through` set, its walks reading the graph's
+    `_reach_table`, the table the independence rows read."""
     if g.n > MAX_SWEEP_NODES:
         raise SizeLimitError(f"dependence sweep limited to {MAX_SWEEP_NODES} nodes")
     _require_reading(g, kind)
+    adj = g.und_adj
+    table = _reach_table(adj)
     partners: dict[NodeSet, list[NodeSet]] = {}
     row = []
-    for t in canonical_triples(g.n):
-        via = through(g, kind, t.x, t.y, t.z)
+    for via, x, y in _dependence_plan(g.n, kind):
         reach = partners.get(via)
         if reach is None:
-            reach = partners[via] = _partners(g.und_adj, via)
-        row.append(bool(reach[t.x] & t.y))
+            reach = partners[via] = _partners(adj, via, table)
+        row.append(bool(reach[x] & y))
     return row
 
 

@@ -131,6 +131,8 @@ def pair_verdicts(g: MixedGraph) -> list[tuple[int, int, NodeSet, bool]]:
     where verdict is the covariance criterion on i independent of j given
     K, read from the graph's one `_reach_table`: the table a model's
     determinant tests are compared against."""
+    if g.n > MAX_FAITHFULNESS_NODES:
+        raise SizeLimitError(f"pair verdicts limited to {MAX_FAITHFULNESS_NODES} nodes")
     require_kind(g, GraphKind.COVARIANCE)
     n = g.n
     reach = _reach_table(g.und_adj)
@@ -333,6 +335,10 @@ def corollaries_sweep(
     recovery defect on a trial that is exactly unfaithful is the same
     cancellation seen twice, so it is tallied separately, as
     `tolerance_artifact_trials`, and does not fail the sweep on its own.
+
+    A faithful trial's row is the criterion's row, so every faithful trial
+    of a graph shares one recovery, checked once per graph from the
+    `pair_verdicts` row; an unfaithful trial checks its own.
     """
     _require_n_max("corollaries", n_max, MAX_FAITHFULNESS_NODES)
     _require_trials(trials)
@@ -352,11 +358,14 @@ def corollaries_sweep(
             table = pair_verdicts(g)
             marginal = _entries_given(table, 0)
             full = _entries_given(table, g.full_mask)
+            expected = [verdict for _i, _j, _k, verdict in table]
+            faithful_ok = _recovery_ok(_recovered(g.n, expected, marginal),
+                                       _recovered(g.n, expected, full))
             for t, (row, bad) in enumerate(_trials(g, table, trials, base)):
                 total_trials += 1
                 is_faithful = not bad
-                recovery_ok = _recovery_ok(_recovered(g.n, row, marginal),
-                                           _recovered(g.n, row, full))
+                recovery_ok = faithful_ok if is_faithful else _recovery_ok(
+                    _recovered(g.n, row, marginal), _recovered(g.n, row, full))
                 if is_faithful:
                     faithful += 1
                     if not recovery_ok:

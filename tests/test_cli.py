@@ -299,6 +299,15 @@ class TestVerifyCommands:
         assert parts["theorems"]["random_graphs"] == 3
         assert parts["corollaries"]["trials"] == 7
 
+    def test_all_report_bytes_are_pinned(self, capsys):
+        # the sha256 of the whole `--scope all` report: any change to a
+        # verdict, a count or the rendering of a sweep moves it
+        code, out, _ = run_cli(capsys, ["verify", "--scope", "all", "--n-max", "4",
+                                        "--trials", "3", "--graphs", "5", "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "fc1caa6a160fe8b8de3deebc025156e3dc651de210bf8212c61cf931ea6510a5"
+
     def test_all_caps_each_sweep_size(self, monkeypatch):
         # the sizes `--scope all` runs decide how long it takes
         import covgraph.verify as verify

@@ -22,10 +22,12 @@ from covgraph import (
     cov_dependence_witness,
     cov_dependent,
     iter_nodes,
+    verify_forest_faithfulness,
 )
 from covgraph import separation
 from covgraph.separation import UG_READINGS, _dependence_row, _unique_path, dependence_witness
 from covgraph.smallgraphs import all_forests, all_ugs, random_ug
+from covgraph.verify import _closure_report
 from oracles import all_simple_paths, count_paths_bruteforce, mask_of, und_neighbor_sets
 from strategies import dead_end_clique, ugs
 
@@ -352,3 +354,36 @@ class TestAllDependencies:
                 calls[0] = 0
                 all_dependencies(g, kind)
                 assert 0 < calls[0] <= bound, (kind, g, calls[0])
+
+
+class TestRowsShareTheReachTable:
+    """A graph's dependence rows walk their unique paths by lookups in the
+    graph's `_reach_table`, the table its independence rows read, and the
+    sweeps build that table once per graph."""
+
+    def test_dependence_walks_read_the_table(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("reachable called")
+
+        for g in (g for n in range(1, 6) for g in all_ugs(n)):
+            triples = canonical_triples(g.n)
+            want = {kind: [dependence_witness(g, kind, t.x, t.y, t.z) is not None
+                           for t in triples]
+                    for kind in UG_READINGS}
+            separation._reach_table(g.und_adj)
+            with monkeypatch.context() as patched:
+                patched.setattr(separation, "reachable", refuse)
+                for kind in UG_READINGS:
+                    assert _dependence_row(g, kind) == want[kind], (kind, g)
+
+    def test_closure_and_forest_checks_build_one_table_per_graph(self):
+        # each graph's first row builds the table and its second row reads
+        # the same one
+        small_ugs = [g for n in range(1, 5) for g in all_ugs(n)]
+        forests = [g for n in range(1, 6) for g in all_forests(n)]
+        for check, graphs in ((_closure_report, small_ugs), (verify_forest_faithfulness, forests)):
+            separation._reach_table.cache_clear()
+            for g in graphs:
+                assert check(g).passed, g
+            info = separation._reach_table.cache_info()
+            assert (info.misses, info.hits) == (len(graphs), len(graphs)), check

@@ -385,6 +385,20 @@ class TestPairVerdictsReachTable:
                 for i, j, k, verdict in pair_verdicts(g):
                     assert verdict == ci_independent(g, COV, bit(i), bit(j), k), g.undirected
 
+    def test_refuses_graphs_above_the_sweep_sizes(self, monkeypatch):
+        # the reach table has 4**n entries: a larger graph is refused
+        # before any table is built
+        def refuse(*args):
+            raise AssertionError("reach table built")
+
+        monkeypatch.setattr("covgraph.verify._reach_table", refuse)
+        monkeypatch.setattr("covgraph.separation._reach_table", refuse)
+        for n in (7, 64):
+            labels = [f"v{i}" for i in range(n)]
+            g = MixedGraph.ug(labels, list(zip(labels, labels[1:])))
+            with pytest.raises(SizeLimitError, match="^pair verdicts limited to 6 nodes$"):
+                pair_verdicts(g)
+
 
 def reference_recovery_ok(cov: MixedGraph, conc: MixedGraph) -> bool:
     """The recovery check on two MixedGraphs: equal connectivity
@@ -761,6 +775,27 @@ class TestCorollariesSweep:
         assert r["structural_failures"] == r["total_trials"] == 4
         assert r["tolerance_artifact_trials"] == 0
         assert "n=2 edges=[A-B] trial 1: recovery defect on a faithful trial" in r["failures"]
+
+    def test_faithful_trials_share_one_recovery(self, monkeypatch):
+        # the recovery is checked once per graph, on the criterion's row,
+        # and once more on each unfaithful trial
+        import covgraph.verify as verify
+        calls = [0]
+
+        def counted(cov, conc):
+            calls[0] += 1
+            return _recovery_ok(cov, conc)
+
+        monkeypatch.setattr(verify, "_recovery_ok", counted)
+        r = corollaries_sweep(4, 3, 0)
+        assert r["passed"] and r["total_trials"] == 3 * r["graphs"]
+        assert calls[0] == r["graphs"] + r["total_trials"] - r["faithful_trials"]
+        # the three paths on 3 nodes are never faithful under these models
+        monkeypatch.setattr(verify, "sample_markov_gaussian", complete_graph_model)
+        calls[0] = 0
+        r = corollaries_sweep(3, 4, 0)
+        assert (r["graphs"], r["total_trials"], r["faithful_trials"]) == (6, 24, 12)
+        assert calls[0] == 6 + 12
 
     def test_recovery_defect_on_an_unfaithful_trial_is_tallied(self, monkeypatch):
         monkeypatch.setattr("covgraph.verify.sample_markov_gaussian", complete_graph_model)

@@ -386,7 +386,8 @@ class TestVerdictRows:
         def walk(*_args):
             raise AssertionError("walked before the checks")
 
-        for name in ("canonical_triples", "_independent", "_reach_table", "_partners"):
+        for name in ("canonical_triples", "_independent", "_reach_table", "_partners",
+                     "_independence_plan", "_dependence_plan"):
             monkeypatch.setattr(separation, name, walk)
         big = MixedGraph.ug(default_labels(9))
         for row in (_independence_row, _dependence_row):
