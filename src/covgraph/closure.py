@@ -173,13 +173,12 @@ def _sites(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], 
     return set_sites, node_sites
 
 
-def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
+def saturate(g: MixedGraph) -> ClosureState:
     """Least fixpoint of the nine rules over the dependence base.
 
     A statement is its position in `canonical_triples(g.n)`, so each
     independence antecedent is one entry of the covariance independence
-    row.  `_reverse_sweep` flips the split and rule application order; the
-    resulting established set must not change (only provenance may).
+    row.  The order of `_sites` decides first derivations, not the closure.
     """
     if g.directed:
         raise ValueError("closure is defined for covariance (undirected) graphs")
@@ -205,9 +204,6 @@ def saturate(g: MixedGraph, _reverse_sweep: bool = False) -> ClosureState:
         add(positions[bit(i) | bit(j) << n], RULE_BASE, (), ())
 
     set_sites, node_sites = _sites(n)
-    if _reverse_sweep:
-        set_sites = tuple(reversed(set_sites))
-        node_sites = tuple(reversed(node_sites))
 
     # Each rule tests its target before adding it: most derivations
     # re-derive a statement already established.  A sweep that adds

@@ -16,9 +16,9 @@ from typing import Iterator
 from .closure import MAX_CLOSURE_NODES, RULES, ClosureState, saturate
 from .gaussian import _minors, sample_markov_gaussian, trial_seed
 from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit, components,
-                     is_forest, iter_nodes, latent_dag, submasks)
-from .separation import (_dependence_row, _independence_row, _independent, _reach_table,
-                         canonical_triples, ci_independent, require_kind)
+                     is_forest, iter_nodes, latent_dag)
+from .separation import (_dependence_row, _independence_row, _independent, canonical_triples,
+                         ci_independent)
 from .smallgraphs import all_forests, all_ugs, connected_ugs, random_ug
 
 MAX_LATENT_NODES = 5
@@ -128,18 +128,15 @@ class FaithfulnessReport:
 
 def pair_verdicts(g: MixedGraph) -> list[tuple[int, int, NodeSet, bool]]:
     """(i, j, K, verdict) for every pair i < j and every K avoiding both,
-    where verdict is the covariance criterion on i independent of j given
-    K, read from the graph's one `_reach_table`: the table a model's
+    in `canonical_triples` order: the entries of the graph's covariance
+    independence row whose X and Y are single nodes, the table a model's
     determinant tests are compared against."""
     if g.n > MAX_FAITHFULNESS_NODES:
         raise SizeLimitError(f"pair verdicts limited to {MAX_FAITHFULNESS_NODES} nodes")
-    require_kind(g, GraphKind.COVARIANCE)
-    n = g.n
-    reach = _reach_table(g.und_adj)
-    return [(i, j, k, not reach[(bit(i) | bit(j) | k) << n | bit(i)] & bit(j))
-            for i in range(n)
-            for j in range(i + 1, n)
-            for k in submasks(g.full_mask & ~bit(i) & ~bit(j))]
+    row = _independence_row(g, GraphKind.COVARIANCE)
+    return [(t.x.bit_length() - 1, t.y.bit_length() - 1, t.z, verdict)
+            for t, verdict in zip(canonical_triples(g.n), row)
+            if t.x.bit_count() == t.y.bit_count() == 1]
 
 
 def _trials(
@@ -333,8 +330,9 @@ def corollaries_sweep(
     recovered covariance and concentration graphs must share connected
     components and map tree components to complete dual components.  A
     recovery defect on a trial that is exactly unfaithful is the same
-    cancellation seen twice, so it is tallied separately, as
-    `tolerance_artifact_trials`, and does not fail the sweep on its own.
+    cancellation seen twice, so it does not fail the sweep on its own:
+    `tolerance_artifact_trials` counts these defects (a name kept from
+    float-tolerance minors, because `bench/worker.py` and CI read it).
 
     A faithful trial's row is the criterion's row, so every faithful trial
     of a graph shares one recovery, checked once per graph from the
@@ -344,7 +342,6 @@ def corollaries_sweep(
     _require_trials(trials)
     failures: list[str] = []
     graphs = 0
-    total_trials = 0
     faithful_trials = 0
     structural_failures = 0
     tolerance_artifacts = 0
@@ -354,27 +351,24 @@ def corollaries_sweep(
         for g in connected_ugs(n):
             base = seed + 7919 * graphs
             graphs += 1
-            faithful = 0
             table = pair_verdicts(g)
             marginal = _entries_given(table, 0)
             full = _entries_given(table, g.full_mask)
-            expected = [verdict for _i, _j, _k, verdict in table]
-            faithful_ok = _recovery_ok(_recovered(g.n, expected, marginal),
-                                       _recovered(g.n, expected, full))
+
+            def recovery_ok(row: list[bool]) -> bool:
+                return _recovery_ok(_recovered(n, row, marginal), _recovered(n, row, full))
+
+            faithful_ok = recovery_ok([verdict for _i, _j, _k, verdict in table])
+            faithful = 0
             for t, (row, bad) in enumerate(_trials(g, table, trials, base)):
-                total_trials += 1
-                is_faithful = not bad
-                recovery_ok = faithful_ok if is_faithful else _recovery_ok(
-                    _recovered(g.n, row, marginal), _recovered(g.n, row, full))
-                if is_faithful:
-                    faithful += 1
-                    if not recovery_ok:
-                        structural_failures += 1
-                        _record(failures,
-                                f"{_describe(g)} trial {t}: recovery defect on a "
-                                f"faithful trial")
-                elif not recovery_ok:
-                    tolerance_artifacts += 1
+                if bad:
+                    tolerance_artifacts += not recovery_ok(row)
+                    continue
+                faithful += 1
+                if not faithful_ok:
+                    structural_failures += 1
+                    _record(failures,
+                            f"{_describe(g)} trial {t}: recovery defect on a faithful trial")
             faithful_trials += faithful
             fraction = faithful / trials
             min_fraction = min(min_fraction, fraction)
@@ -390,7 +384,7 @@ def corollaries_sweep(
         "seed": seed,
         "threshold": MIN_FAITHFUL_FRACTION,
         "graphs": graphs,
-        "total_trials": total_trials,
+        "total_trials": graphs * trials,
         "faithful_trials": faithful_trials,
         "structural_failures": structural_failures,
         "tolerance_artifact_trials": tolerance_artifacts,

@@ -25,7 +25,7 @@ from covgraph import (
     replay_provenance,
     saturate,
 )
-from covgraph import verify
+from covgraph import closure, verify
 from covgraph.closure import (RULES, RULE_BASE, RULE_DECOMPOSITION, RULE_WEAK_TRANSITIVITY1,
                               Derivation, _sites)
 from covgraph.graphs import disjoint_splits
@@ -42,6 +42,17 @@ def cycle4():
 
 def path3():
     return MixedGraph.ug("ABC", [("A", "B"), ("B", "C")])
+
+
+def saturate_swept(g, reverse: bool):
+    """`saturate(g)`, with both site tables swept in reverse order when
+    `reverse`."""
+    if not reverse:
+        return saturate(g)
+    sites = closure._sites
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(closure, "_sites", lambda n: tuple(table[::-1] for table in sites(n)))
+        return saturate(g)
 
 
 def naive_rule_pass(g, established: set[CITriple]) -> set[CITriple]:
@@ -172,11 +183,11 @@ class TestSaturate:
             assert naive_rule_pass(g, set(state.established)) == set()
 
     def test_order_independence(self):
-        for g in all_ugs(3):
-            assert saturate(g).established == \
-                saturate(g, _reverse_sweep=True).established
-        assert saturate(cycle4()).established == \
-            saturate(cycle4(), _reverse_sweep=True).established
+        # every labeled UG of up to 4 nodes
+        graphs = [g for n in range(1, 5) for g in all_ugs(n)]
+        assert len(graphs) == 75
+        for g in graphs:
+            assert saturate(g).established == saturate_swept(g, reverse=True).established, g
 
     def test_antecedents_precede_conclusions(self):
         state = saturate(cycle4())
@@ -242,7 +253,7 @@ class TestSaturate:
         graphs += [random_ug(6, rng) for _ in range(3)]
         for g in graphs:
             for reverse in (False, True):
-                state = saturate(g, _reverse_sweep=reverse)
+                state = saturate_swept(g, reverse)
                 seen = set()
                 for p in state.order:
                     assert all(dep in seen for dep in state.derivations[p][1]), (g, reverse, p)
@@ -251,7 +262,7 @@ class TestSaturate:
                     continue
                 ordered = state.sorted_statements()
                 deep = max(ordered, key=lambda t: explain(state, t).count("\n"))
-                first = explain(saturate(g, _reverse_sweep=reverse), deep)
+                first = explain(saturate_swept(g, reverse), deep)
                 assert first == explain(state, deep) == naive_explain(state, deep)
 
     def test_matches_naive_engine(self):
@@ -265,7 +276,7 @@ class TestSaturate:
         graphs += [random_ug(6, rng) for _ in range(4)]
         for g in graphs:
             for reverse in (False, True):
-                got = saturate(g, _reverse_sweep=reverse)
+                got = saturate_swept(g, reverse)
                 want = naive_saturate(g, _reverse_sweep=reverse)
                 assert got.sweeps == want.sweeps
                 assert list(got.provenance.items()) == list(want.provenance.items())
@@ -302,7 +313,7 @@ class TestPositionalState:
         for g in graphs:
             for reverse in (False, True):
                 calls.clear()
-                state = saturate(g, _reverse_sweep=reverse)
+                state = saturate_swept(g, reverse)
                 for t in state.sorted_statements():
                     explain(state, t)
                 assert replay_provenance(state).passed
@@ -329,7 +340,7 @@ class TestInternedTriples:
         for g in graphs:
             canonical = {t: t for t in canonical_triples(g.n)}
             for reverse in (False, True):
-                for t, d in saturate(g, _reverse_sweep=reverse).provenance.items():
+                for t, d in saturate_swept(g, reverse).provenance.items():
                     for u in (t, *d.dependencies, *d.independencies):
                         assert canonical[u] is u, (g, reverse, u)
 
@@ -382,7 +393,7 @@ def first_rule_histogram(reverse: bool) -> dict[str, int]:
     return dict(Counter(
         d.rule
         for g in graphs
-        for d in saturate(g, _reverse_sweep=reverse).provenance.values()
+        for d in saturate_swept(g, reverse).provenance.values()
     ))
 
 

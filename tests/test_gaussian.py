@@ -355,11 +355,20 @@ class TestGraphRecovery:
 class TestPairVerdicts:
     def test_cycle_table(self):
         table = pair_verdicts(cycle4())
-        # C(4, 2) pairs, each with every K among the other two nodes
+        # C(4, 2) pairs, each with every K among the other two nodes, in
+        # canonical order: by |K|, then by i, j and K
         assert len(table) == 6 * 4
         assert (0, 2, 0, True) in table
         assert (0, 2, bit(1), False) in table
-        assert [(i, j) for i, j, _, _ in table[:4]] == [(0, 1)] * 4
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert table[:6] == [(i, j, 0, (i, j) in {(0, 2), (1, 3)}) for i, j in pairs]
+        assert [(i, j, k) for i, j, k, _ in table[6:]] == [
+            (0, 1, 0b0100), (0, 1, 0b1000), (0, 2, 0b0010), (0, 2, 0b1000),
+            (0, 3, 0b0010), (0, 3, 0b0100), (1, 2, 0b0001), (1, 2, 0b1000),
+            (1, 3, 0b0001), (1, 3, 0b0100), (2, 3, 0b0001), (2, 3, 0b0010),
+            (0, 1, 0b1100), (0, 2, 0b1010), (0, 3, 0b0110), (1, 2, 0b1001),
+            (1, 3, 0b0101), (2, 3, 0b0011),
+        ]
 
     @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -370,6 +379,13 @@ class TestPairVerdicts:
         for i, j, k, verdict in table:
             assert i < j and not k & (bit(i) | bit(j))
             assert verdict == ci_independent(g, COV, bit(i), bit(j), k)
+        # the table filters the covariance row to its pair triples, in order
+        triples = canonical_triples(n)
+        row = _independence_row(g, COV)
+        pairs = [p for p, t in enumerate(triples) if t.x.bit_count() == t.y.bit_count() == 1]
+        assert [(bit(i), bit(j), k) for i, j, k, _v in table] == \
+            [(triples[p].x, triples[p].y, triples[p].z) for p in pairs]
+        assert [v for _i, _j, _k, v in table] == [row[p] for p in pairs]
 
 
 class TestPairVerdictsReachTable:
@@ -391,7 +407,6 @@ class TestPairVerdictsReachTable:
         def refuse(*args):
             raise AssertionError("reach table built")
 
-        monkeypatch.setattr("covgraph.verify._reach_table", refuse)
         monkeypatch.setattr("covgraph.separation._reach_table", refuse)
         for n in (7, 64):
             labels = [f"v{i}" for i in range(n)]
