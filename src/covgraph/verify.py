@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import ne
 from typing import Iterator
 
@@ -126,35 +127,37 @@ class FaithfulnessReport:
         }
 
 
-def pair_verdicts(g: MixedGraph) -> list[tuple[int, int, NodeSet, bool]]:
-    """(i, j, K, verdict) for every pair i < j and every K avoiding both,
-    in `canonical_triples` order: the entries of the graph's covariance
-    independence row whose X and Y are single nodes, the table a model's
-    determinant tests are compared against."""
-    if g.n > MAX_FAITHFULNESS_NODES:
-        raise SizeLimitError(f"pair verdicts limited to {MAX_FAITHFULNESS_NODES} nodes")
+@lru_cache(maxsize=None)
+def _pair_plan(n: int) -> tuple[tuple[int, int, int, NodeSet], ...]:
+    """(position, i, j, K) of each pair triple of `canonical_triples(n)`,
+    the triples {i} ; {j} ; K whose X and Y are single nodes, in order:
+    the entries a model's determinant tests are compared against."""
+    return tuple((p, t.x.bit_length() - 1, t.y.bit_length() - 1, t.z)
+                 for p, t in enumerate(canonical_triples(n))
+                 if t.x.bit_count() == t.y.bit_count() == 1)
+
+
+def _criterion_pairs(g: MixedGraph) -> list[bool]:
+    """The covariance criterion's verdict on each entry of `_pair_plan(g.n)`,
+    read from the graph's independence row at the entry's position."""
     row = _independence_row(g, GraphKind.COVARIANCE)
-    return [(t.x.bit_length() - 1, t.y.bit_length() - 1, t.z, verdict)
-            for t, verdict in zip(canonical_triples(g.n), row)
-            if t.x.bit_count() == t.y.bit_count() == 1]
+    return [row[p] for p, _i, _j, _k in _pair_plan(g.n)]
 
 
-def _trials(
-    g: MixedGraph, table: list[tuple[int, int, NodeSet, bool]], trials: int, seed: int,
-) -> Iterator[tuple[list[bool], int]]:
-    """For each trial, the determinant verdict on every (i, j, K) of
-    `table` (the `pair_verdicts` of g), in table order, and the number of
-    them that disagree with the covariance criterion.
+def _trials(g: MixedGraph, trials: int, seed: int) -> Iterator[tuple[list[bool], int]]:
+    """For each trial, the determinant verdict on every entry of
+    `_pair_plan(g.n)`, in plan order, and the number of them that disagree
+    with the covariance criterion (`_criterion_pairs`).
 
     A verdict reads independence exactly when the minor
     det sigma[{i} | K, {j} | K], taken from the trial's `_minors` table,
     is zero."""
     n = g.n
-    plan = [(k, i * n + j) for i, j, k, _verdict in table]
-    expected = [verdict for _i, _j, _k, verdict in table]
+    cells = [(k, i * n + j) for _p, i, j, k in _pair_plan(n)]
+    expected = _criterion_pairs(g)
     for t in range(trials):
         minors = _minors(sample_markov_gaussian(g, trial_seed(seed, t)))
-        row = [not minors[k][ij] for k, ij in plan]
+        row = [not minors[k][ij] for k, ij in cells]
         yield row, sum(map(ne, row, expected))
 
 
@@ -164,12 +167,13 @@ def faithfulness_report(
     seed: int = 0,
 ) -> FaithfulnessReport:
     """Sample `trials` models and compare their exact zero minors against
-    the covariance-graph criterion over every (i, j, K)."""
+    the covariance-graph criterion over every (i, j, K) of `_pair_plan`,
+    read by position from the graph's covariance independence row."""
     if g.n > MAX_FAITHFULNESS_NODES:
         raise SizeLimitError(
             f"faithfulness sweep limited to {MAX_FAITHFULNESS_NODES} nodes")
     _require_trials(trials)
-    mismatches = [bad for _row, bad in _trials(g, pair_verdicts(g), trials, seed)]
+    mismatches = [bad for _row, bad in _trials(g, trials, seed)]
     return FaithfulnessReport(g.n, trials, mismatches)
 
 
@@ -278,23 +282,23 @@ def forest_sweep(n_max: int = 6) -> dict:
                             verify_forest_faithfulness)
 
 
-def _entries_given(
-    table: list[tuple[int, int, NodeSet, bool]], given: NodeSet
-) -> list[tuple[int, int, int]]:
-    """(position, i, j) of each entry of `table` whose K is `given` minus
-    i, j."""
-    return [(p, i, j) for p, (i, j, k, _v) in enumerate(table)
-            if k == given & ~bit(i) & ~bit(j)]
+@lru_cache(maxsize=None)
+def _entries_given(n: int, given: NodeSet) -> tuple[tuple[int, int, int], ...]:
+    """(plan index, i, j) of each entry of `_pair_plan(n)` whose K is
+    `given` minus i, j."""
+    return tuple((q, i, j) for q, (_p, i, j, k) in enumerate(_pair_plan(n))
+                 if k == given & ~bit(i) & ~bit(j))
 
 
-def _recovered(n: int, row: list[bool], entries: list[tuple[int, int, int]]) -> list[NodeSet]:
+def _recovered(n: int, row: list[bool], entries: tuple[tuple[int, int, int], ...]
+               ) -> list[NodeSet]:
     """Adjacency masks joining each pair i, j of `entries` that the trial
-    row reads dependent: on `_entries_given(table, 0)` the trial model's
-    `covariance_graph_of`, on `_entries_given(table, full mask)` its
+    row reads dependent: on `_entries_given(n, 0)` the trial model's
+    `covariance_graph_of`, on `_entries_given(n, full mask)` its
     `concentration_graph_of`."""
     adj = [0] * n
-    for p, i, j in entries:
-        if not row[p]:
+    for q, i, j in entries:
+        if not row[q]:
             adj[i] |= bit(j)
             adj[j] |= bit(i)
     return adj
@@ -322,76 +326,68 @@ def corollaries_sweep(
     trials: int = 100,
     seed: int = 0,
 ) -> dict:
-    """Sampled-model checks per connected UG.
+    """Sampled-model checks per connected UG, run by `_per_graph_sweep`.
 
     Per graph, at least `MIN_FAITHFUL_FRACTION` of the trials must be
     faithful: a minor vanishes exactly when the graph criterion reads
-    independence, on every (i, j, K).  On every faithful trial the
-    recovered covariance and concentration graphs must share connected
-    components and map tree components to complete dual components.  A
-    recovery defect on a trial that is exactly unfaithful is the same
-    cancellation seen twice, so it does not fail the sweep on its own:
-    `tolerance_artifact_trials` counts these defects (a name kept from
-    float-tolerance minors, because `bench/worker.py` and CI read it).
+    independence, on every entry of `_pair_plan(n)`.  On every faithful
+    trial the recovered covariance and concentration graphs must share
+    connected components and map tree components to complete dual
+    components.  A recovery defect on a trial that is exactly unfaithful
+    is the same cancellation seen twice, so it does not fail the sweep on
+    its own: `tolerance_artifact_trials` counts these defects (a name kept
+    from float-tolerance minors, because `bench/worker.py` and CI read it).
 
     A faithful trial's row is the criterion's row, so every faithful trial
-    of a graph shares one recovery, checked once per graph from the
-    `pair_verdicts` row; an unfaithful trial checks its own.
+    of a graph shares one recovery, checked once per graph on
+    `_criterion_pairs(g)`; an unfaithful trial checks its own.  The
+    counters are sums over the per-graph faithful counts.
     """
     _require_n_max("corollaries", n_max, MAX_FAITHFULNESS_NODES)
     _require_trials(trials)
-    failures: list[str] = []
-    graphs = 0
-    faithful_trials = 0
-    structural_failures = 0
-    tolerance_artifacts = 0
-    below_threshold = 0
-    min_fraction = 1.0
-    for n in range(1, n_max + 1):
-        for g in connected_ugs(n):
-            base = seed + 7919 * graphs
-            graphs += 1
-            table = pair_verdicts(g)
-            marginal = _entries_given(table, 0)
-            full = _entries_given(table, g.full_mask)
+    counts: list[tuple[int, int, bool]] = []  # per graph: faithful, artifacts, recovery ok
 
-            def recovery_ok(row: list[bool]) -> bool:
-                return _recovery_ok(_recovered(n, row, marginal), _recovered(n, row, full))
+    def check(g: MixedGraph) -> Report:
+        n = g.n
+        marginal, full = _entries_given(n, 0), _entries_given(n, g.full_mask)
 
-            faithful_ok = recovery_ok([verdict for _i, _j, _k, verdict in table])
-            faithful = 0
-            for t, (row, bad) in enumerate(_trials(g, table, trials, base)):
-                if bad:
-                    tolerance_artifacts += not recovery_ok(row)
-                    continue
-                faithful += 1
-                if not faithful_ok:
-                    structural_failures += 1
-                    _record(failures,
-                            f"{_describe(g)} trial {t}: recovery defect on a faithful trial")
-            faithful_trials += faithful
-            fraction = faithful / trials
-            min_fraction = min(min_fraction, fraction)
-            if fraction < MIN_FAITHFUL_FRACTION:
-                below_threshold += 1
-                _record(failures,
-                        f"{_describe(g)} faithful fraction {fraction:.3f} "
-                        f"< {MIN_FAITHFUL_FRACTION}")
+        def recovery_ok(row: list[bool]) -> bool:
+            return _recovery_ok(_recovered(n, row, marginal), _recovered(n, row, full))
+
+        ok = recovery_ok(_criterion_pairs(g))
+        report = Report(trials)
+        faithful = artifacts = 0
+        for t, (row, bad) in enumerate(_trials(g, trials, seed + 7919 * len(counts))):
+            if bad:
+                artifacts += not recovery_ok(row)
+                continue
+            faithful += 1
+            if not ok:
+                report.violations.append(f"trial {t}: recovery defect on a faithful trial")
+        fraction = faithful / trials
+        if fraction < MIN_FAITHFUL_FRACTION:
+            report.violations.append(
+                f"faithful fraction {fraction:.3f} < {MIN_FAITHFUL_FRACTION}")
+        counts.append((faithful, artifacts, ok))
+        return report
+
+    sweep = _per_graph_sweep("corollaries", n_max, MAX_FAITHFULNESS_NODES, connected_ugs, check)
+    fractions = [faithful / trials for faithful, _artifacts, _ok in counts]
     return {
         "scope": "corollaries",
         "n_max": n_max,
         "trials": trials,
         "seed": seed,
         "threshold": MIN_FAITHFUL_FRACTION,
-        "graphs": graphs,
-        "total_trials": graphs * trials,
-        "faithful_trials": faithful_trials,
-        "structural_failures": structural_failures,
-        "tolerance_artifact_trials": tolerance_artifacts,
-        "min_faithful_fraction": min_fraction,
-        "graphs_below_threshold": below_threshold,
-        "failures": failures,
-        "passed": not failures,
+        "graphs": sweep["graphs"],
+        "total_trials": sweep["graphs"] * trials,
+        "faithful_trials": sum(faithful for faithful, _artifacts, _ok in counts),
+        "structural_failures": sum(faithful for faithful, _artifacts, ok in counts if not ok),
+        "tolerance_artifact_trials": sum(artifacts for _faithful, artifacts, _ok in counts),
+        "min_faithful_fraction": min(fractions),
+        "graphs_below_threshold": sum(f < MIN_FAITHFUL_FRACTION for f in fractions),
+        "failures": sweep["failures"],
+        "passed": sweep["passed"],
     }
 
 

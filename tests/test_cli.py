@@ -308,6 +308,15 @@ class TestVerifyCommands:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "fc1caa6a160fe8b8de3deebc025156e3dc651de210bf8212c61cf931ea6510a5"
 
+    def test_corollaries_report_bytes_are_pinned_at_five_nodes(self, capsys):
+        # `--scope all` above stops the corollaries sweep at 4 nodes; this
+        # pins every verdict and count over the 728 connected 5-node graphs
+        code, out, _ = run_cli(capsys, ["verify", "--scope", "corollaries", "--n-max", "5",
+                                        "--trials", "5", "--seed", "3", "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "8561646ee8c64c7ab6bbc4a96c0b19391ea9f974ae34831c200e48c2487e8782"
+
     def test_all_caps_each_sweep_size(self, monkeypatch):
         # the sizes `--scope all` runs decide how long it takes
         import covgraph.verify as verify

@@ -38,8 +38,8 @@ from covgraph import (
 )
 from covgraph.gaussian import _leading_minors, _minors
 from covgraph.separation import _dependence_row, _independence_row
-from covgraph.verify import (_entries_given, _recovered, _recovery_ok, _trials,
-                             corollaries_sweep, pair_verdicts)
+from covgraph.verify import (MAX_FAILURES_KEPT, _entries_given, _pair_plan, _recovered,
+                             _recovery_ok, _trials, corollaries_sweep)
 from covgraph.smallgraphs import all_ugs, connected_ugs, random_ug
 from oracles import det_cofactor, inverse_adjugate
 from strategies import complete_graph_model
@@ -49,6 +49,13 @@ COV = GraphKind.COVARIANCE
 
 def cycle4():
     return MixedGraph.ug("ABCD", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
+
+
+def pair_table(g):
+    """(i, j, K, verdict) for each entry of `_pair_plan(g.n)`, the verdict
+    read from the graph's covariance independence row at its position."""
+    row = _independence_row(g, COV)
+    return [(i, j, k, row[p]) for p, i, j, k in _pair_plan(g.n)]
 
 
 class TestLeadingMinors:
@@ -354,7 +361,7 @@ class TestGraphRecovery:
 
 class TestPairVerdicts:
     def test_cycle_table(self):
-        table = pair_verdicts(cycle4())
+        table = pair_table(cycle4())
         # C(4, 2) pairs, each with every K among the other two nodes, in
         # canonical order: by |K|, then by i, j and K
         assert len(table) == 6 * 4
@@ -374,18 +381,26 @@ class TestPairVerdicts:
     @settings(max_examples=30, deadline=None)
     def test_matches_criterion(self, n, seed):
         g = random_ug(n, random.Random(seed))
-        table = pair_verdicts(g)
+        table = pair_table(g)
         assert len(table) == n * (n - 1) // 2 * 2 ** max(n - 2, 0)
         for i, j, k, verdict in table:
             assert i < j and not k & (bit(i) | bit(j))
             assert verdict == ci_independent(g, COV, bit(i), bit(j), k)
-        # the table filters the covariance row to its pair triples, in order
+        # the table reads the covariance row at its pair triples, in order
         triples = canonical_triples(n)
         row = _independence_row(g, COV)
         pairs = [p for p, t in enumerate(triples) if t.x.bit_count() == t.y.bit_count() == 1]
         assert [(bit(i), bit(j), k) for i, j, k, _v in table] == \
             [(triples[p].x, triples[p].y, triples[p].z) for p in pairs]
         assert [v for _i, _j, _k, v in table] == [row[p] for p in pairs]
+
+    def test_lists_the_single_node_triples_in_order(self):
+        for n in range(7):
+            triples = canonical_triples(n)
+            assert [triples[p] for p, _i, _j, _k in _pair_plan(n)] == \
+                [t for t in triples if t.x.bit_count() == t.y.bit_count() == 1]
+            assert [(bit(i), bit(j), k) for _p, i, j, k in _pair_plan(n)] == \
+                [(triples[p].x, triples[p].y, triples[p].z) for p, *_ in _pair_plan(n)]
 
 
 class TestPairVerdictsReachTable:
@@ -395,11 +410,17 @@ class TestPairVerdictsReachTable:
         def refuse(*args):
             raise AssertionError("_independent called")
 
-        monkeypatch.setattr("covgraph.verify._independent", refuse)
-        for n in range(1, 6):
-            for g in connected_ugs(n):
-                for i, j, k, verdict in pair_verdicts(g):
-                    assert verdict == ci_independent(g, COV, bit(i), bit(j), k), g.undirected
+        graphs = [g for n in range(1, 6) for g in connected_ugs(n)]
+        with monkeypatch.context() as patch:
+            patch.setattr("covgraph.verify._independent", refuse)
+            patch.setattr("covgraph.separation._independent", refuse)
+            tables = [pair_table(g) for g in graphs]
+            mismatches = [faithfulness_report(g, 1, 7919 * index).mismatches_per_trial
+                          for index, g in enumerate(graphs)]
+        for g, table in zip(graphs, tables):
+            for i, j, k, verdict in table:
+                assert verdict == ci_independent(g, COV, bit(i), bit(j), k), g.undirected
+        assert mismatches == [[0]] * len(graphs)
 
     def test_refuses_graphs_above_the_sweep_sizes(self, monkeypatch):
         # the reach table has 4**n entries: a larger graph is refused
@@ -411,8 +432,10 @@ class TestPairVerdictsReachTable:
         for n in (7, 64):
             labels = [f"v{i}" for i in range(n)]
             g = MixedGraph.ug(labels, list(zip(labels, labels[1:])))
-            with pytest.raises(SizeLimitError, match="^pair verdicts limited to 6 nodes$"):
-                pair_verdicts(g)
+            with pytest.raises(SizeLimitError, match="^faithfulness sweep limited to 6 nodes$"):
+                faithfulness_report(g, 1)
+        with pytest.raises(ValueError, match="^corollaries sweep limited to 6 nodes$"):
+            corollaries_sweep(7, 1)
 
 
 def reference_recovery_ok(cov: MixedGraph, conc: MixedGraph) -> bool:
@@ -436,13 +459,13 @@ def reference_recovery_ok(cov: MixedGraph, conc: MixedGraph) -> bool:
 
 class TestTrialRows:
     """Each trial's determinant verdicts are computed once, as a row over
-    the `pair_verdicts` table; the recovered graphs are read from it as
-    adjacency masks."""
+    `_pair_plan(n)`; the recovered graphs are read from it as adjacency
+    masks."""
 
     @staticmethod
-    def _check_recovery(g, table, row, cov_graph, conc_graph):
-        cov = _recovered(g.n, row, _entries_given(table, 0))
-        conc = _recovered(g.n, row, _entries_given(table, g.full_mask))
+    def _check_recovery(g, row, cov_graph, conc_graph):
+        cov = _recovered(g.n, row, _entries_given(g.n, 0))
+        conc = _recovered(g.n, row, _entries_given(g.n, g.full_mask))
         assert (cov, conc) == (list(cov_graph.und_adj), list(conc_graph.und_adj))
         ok = _recovery_ok(cov, conc)
         assert ok == reference_recovery_ok(cov_graph, conc_graph)
@@ -453,15 +476,15 @@ class TestTrialRows:
         model = sample_markov_gaussian(g, trial_seed(seed, t))
         assert row == [ci_test(model, i, j, k) for i, j, k, _v in table]
         assert bad == sum(got != v for got, (_i, _j, _k, v) in zip(row, table))
-        cls._check_recovery(g, table, row, covariance_graph_of(model, DEFAULT_TOL, g.labels),
+        cls._check_recovery(g, row, covariance_graph_of(model, DEFAULT_TOL, g.labels),
                             concentration_graph_of(model, DEFAULT_TOL, g.labels))
 
     def test_rows_match_checked_tests_exhaustive(self):
         for n in range(1, 5):
             for index, g in enumerate(connected_ugs(n)):
                 seed = 7919 * index
-                table = pair_verdicts(g)
-                for t, (row, bad) in enumerate(_trials(g, table, 5, seed)):
+                table = pair_table(g)
+                for t, (row, bad) in enumerate(_trials(g, 5, seed)):
                     self._check_trial(g, table, seed, t, row, bad)
 
     @staticmethod
@@ -472,14 +495,14 @@ class TestTrialRows:
         g = [g for n in range(1, 6) for g in connected_ugs(n)][78]
         assert sorted(g.undirected) == [(0, 3), (1, 2), (1, 3), (1, 4)]
         seed = 7919 * 78
-        return g, seed, pair_verdicts(g), sample_markov_gaussian(g, trial_seed(seed, 23))
+        return g, seed, pair_table(g), sample_markov_gaussian(g, trial_seed(seed, 23))
 
     def test_rows_match_on_the_tolerance_artifact_trial(self):
         # the row and ci_test both read the criterion; the tolerance test
         # flipped two dependences, (0, 4, 0b01110) and (0, 4, 0b01010),
         # whose exactly nonzero minors fell under it
         g, seed, table, model = self._artifact_trial()
-        row, bad = list(_trials(g, table, 24, seed))[23]
+        row, bad = list(_trials(g, 24, seed))[23]
         assert bad == 0
         assert row == [v for _i, _j, _k, v in table]
         flipped = [(i, j, k) for i, j, k, v in table if ci_test(model, i, j, k) != v]
@@ -500,8 +523,8 @@ class TestTrialRows:
         assert len(graphs) == 728
         for index, g in enumerate(graphs):
             seed = 7919 * (44 + index)  # corollaries_sweep's seed for this graph
-            table = pair_verdicts(g)
-            (row, _bad), = _trials(g, table, 1, seed)
+            table = pair_table(g)
+            (row, _bad), = _trials(g, 1, seed)
             model = sample_markov_gaussian(g, trial_seed(seed, 0))
             assert row == [ci_test(model, i, j, k) for i, j, k, _v in table]
 
@@ -513,13 +536,13 @@ class TestTrialRows:
         outcomes = set()
         for _ in range(200):
             g = random_ug(rng.randint(2, 5), rng)
-            table = pair_verdicts(g)
+            table = pair_table(g)
             row = [rng.random() < 0.5 for _ in table]
             graphs = [MixedGraph(g.n, g.labels, frozenset(
-                (i, j) for p, i, j in _entries_given(table, given) if not row[p]))
+                (i, j) for p, i, j in _entries_given(g.n, given) if not row[p]))
                 for given in (0, g.full_mask)]
             same_components = len({tuple(connectivity_components(h)) for h in graphs}) == 1
-            outcomes.add((same_components, self._check_recovery(g, table, row, *graphs)))
+            outcomes.add((same_components, self._check_recovery(g, row, *graphs)))
         assert outcomes == {(True, True), (True, False), (False, False)}
 
 
@@ -616,7 +639,7 @@ class TestMinors:
                            for i in iter_nodes(t.x) for j in iter_nodes(t.y))
 
             unfaithful += any(minors[k][i * 4 + j] == 0 and not v
-                              for i, j, k, v in pair_verdicts(g))
+                              for i, j, k, v in pair_table(g))
             independent = set(all_independencies(g, COV))
             for t in all_dependencies(g, COV):
                 assert not vanishes(t), t.render(g.labels)
@@ -770,7 +793,7 @@ class TestCorollariesSweep:
         g = [g for n in range(1, 5) for g in connected_ugs(n)][7]
         assert sorted(g.undirected) == [(0, 1), (0, 3), (1, 2)]
         model = sample_markov_gaussian(g, trial_seed(seed + 7919 * 7, 0))
-        flipped = [(i, j, k) for i, j, k, v in pair_verdicts(g) if ci_test(model, i, j, k) != v]
+        flipped = [(i, j, k) for i, j, k, v in pair_table(g) if ci_test(model, i, j, k) != v]
         assert flipped == []
 
     def test_unfaithful_models_fail_the_threshold(self, monkeypatch):
@@ -790,6 +813,16 @@ class TestCorollariesSweep:
         assert r["structural_failures"] == r["total_trials"] == 4
         assert r["tolerance_artifact_trials"] == 0
         assert "n=2 edges=[A-B] trial 1: recovery defect on a faithful trial" in r["failures"]
+
+    def test_failures_are_capped(self, monkeypatch):
+        # every faithful trial of every graph is a defect, but the shared
+        # sweep loop keeps only the first MAX_FAILURES_KEPT messages
+        monkeypatch.setattr("covgraph.verify._recovery_ok", lambda cov, conc: False)
+        r = corollaries_sweep(4, 2, 0)
+        assert not r["passed"]
+        assert r["structural_failures"] == r["total_trials"] == 88
+        assert len(r["failures"]) == MAX_FAILURES_KEPT == 20
+        assert r["failures"][0] == "n=1 edges=[] trial 0: recovery defect on a faithful trial"
 
     def test_faithful_trials_share_one_recovery(self, monkeypatch):
         # the recovery is checked once per graph, on the criterion's row,
