@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import combinations, compress
+from typing import Sequence
 
 from .graphs import (GraphKind, MixedGraph, SizeLimitError, bit, disjoint_splits,
                      format_nodeset, iter_nodes)
@@ -255,3 +256,35 @@ def explain(state: ClosureState, triple: CITriple) -> str:
             f"{triple.render(state.graph.labels)} is not in the closure"
         )
     return state._trees[p]
+
+
+def _lane_closure(adj: Sequence[Sequence[int]], indep: list[int]) -> list[int]:
+    """`saturate`'s row for every graph of a `UGLanes` family at once:
+    bit k of entry p says whether statement p is in graph k's closure.
+    `adj` is the family's lane adjacency and `indep` its lane covariance
+    independence row.  The fixpoint sweeps the same `_sites(n)`, each of
+    `saturate`'s tests becoming a mask of lanes: a rule adds its target in
+    the lanes where its antecedents hold.  It records no derivations."""
+    n = len(adj)
+    positions = _positions(n)
+    est = [0] * len(indep)
+    for i, j in combinations(range(n), 2):
+        est[positions[bit(i) | bit(j) << n]] = adj[i][j]
+    set_sites, node_sites = _sites(n)
+    before = None
+    while est != before:
+        before = est[:]
+        for small, moved, wide, xwz, xwzy in set_sites:
+            w = est[wide] | est[small] | est[moved]
+            if w:
+                est[wide] = w
+                by_moved = w & indep[moved]
+                est[xwz] |= by_moved | w & indep[small]
+                est[xwzy] |= by_moved
+                est[moved] |= w & indep[xwz]
+        for first, second, xyz, xyzk in node_sites:
+            both = est[first] & est[second]
+            if both:
+                est[xyzk] |= both & indep[xyz]
+                est[xyz] |= both & indep[xyzk]
+    return est

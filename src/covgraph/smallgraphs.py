@@ -1,13 +1,15 @@
-"""Enumeration and sampling of small undirected graphs for sweeps."""
+"""Enumeration and sampling of small undirected graphs for sweeps, one
+graph at a time or as lanes: one graph per bit of an int."""
 
 from __future__ import annotations
 
 import random
 import string
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .graphs import MixedGraph, connectivity_components, is_forest
+from .graphs import MixedGraph, bit, connectivity_components, is_forest, iter_nodes
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -28,10 +30,14 @@ def all_ugs(n: int) -> Iterator[MixedGraph]:
         yield _from_edge_bits(n, pairs, bits)
 
 
+def _random_edge_bits(pairs: list[tuple[int, int]], rng: random.Random) -> int:
+    return rng.getrandbits(len(pairs)) if pairs else 0
+
+
 def random_ug(n: int, rng: random.Random) -> MixedGraph:
     """One labeled undirected graph drawn uniformly."""
     pairs = list(combinations(range(n), 2))
-    return _from_edge_bits(n, pairs, rng.getrandbits(len(pairs)) if pairs else 0)
+    return _from_edge_bits(n, pairs, _random_edge_bits(pairs, rng))
 
 
 def connected_ugs(n: int) -> Iterator[MixedGraph]:
@@ -44,3 +50,79 @@ def all_forests(n: int) -> Iterator[MixedGraph]:
     for g in all_ugs(n):
         if is_forest(g):
             yield g
+
+
+@dataclass(frozen=True)
+class UGLanes:
+    """A family of labeled n-node UGs, one per lane: bit k of every lane
+    mask stands for the graph whose edge bits, numbered as `all_ugs`
+    numbers them, are `graphs[k]`.  `adj[u][v]` is the mask of the lanes
+    whose graph has the edge u-v (0 when u == v), so a verdict on every
+    graph of the family is one int."""
+
+    n: int
+    graphs: Sequence[int]
+    adj: tuple[tuple[int, ...], ...]
+
+    @property
+    def full(self) -> int:
+        """The mask of every lane."""
+        return (1 << len(self.graphs)) - 1
+
+    def graph(self, k: int) -> MixedGraph:
+        """The graph of lane k."""
+        return _from_edge_bits(self.n, list(combinations(range(self.n), 2)), self.graphs[k])
+
+    def forests(self) -> int:
+        """The lanes whose graph is a forest: every lane minus those
+        holding a cycle of K_n.  Each cycle is walked from its least node
+        s over larger nodes, and closes from any node at least two steps
+        from s that is joined back to s."""
+        n, adj = self.n, self.adj
+        cyclic = 0
+        for s in range(n):
+            # (end node, lanes holding the path so far, nodes it may
+            # still visit, its edge count)
+            stack = [(s, self.full, ((1 << n) - 1) & -(2 << s), 0)]
+            while stack:
+                v, lanes, left, steps = stack.pop()
+                if steps >= 2:
+                    cyclic |= lanes & adj[v][s]
+                for u in iter_nodes(left):
+                    step = lanes & adj[v][u]
+                    if step:
+                        stack.append((u, step, left ^ bit(u), steps + 1))
+        return self.full & ~cyclic
+
+
+def _ug_lanes(n: int, graphs: Sequence[int], edges: list[int]) -> UGLanes:
+    """The family `graphs`, given the lane mask of each pair of
+    `combinations(range(n), 2)`."""
+    adj = [[0] * n for _ in range(n)]
+    for (u, v), lanes in zip(combinations(range(n), 2), edges):
+        adj[u][v] = adj[v][u] = lanes
+    return UGLanes(n, graphs, tuple(map(tuple, adj)))
+
+
+def all_ug_lanes(n: int) -> UGLanes:
+    """`all_ugs(n)` as lanes: lane k holds graph k, so the lanes holding
+    pair e repeat 2**e clear lanes, then 2**e set ones."""
+    m = n * (n - 1) // 2
+    full = (1 << (1 << m)) - 1
+    edges = []
+    for e in range(m):
+        half = 1 << e
+        edges.append((((1 << half) - 1) << half) * (full // ((1 << 2 * half) - 1)))
+    return _ug_lanes(n, range(1 << m), edges)
+
+
+def random_ug_lanes(n: int, count: int, rng: random.Random) -> UGLanes:
+    """The graphs that `count` calls of `random_ug(n, rng)` would draw,
+    as lanes in draw order."""
+    pairs = list(combinations(range(n), 2))
+    graphs = [_random_edge_bits(pairs, rng) for _ in range(count)]
+    # each pair's lane mask as a binary numeral, lane k its k-th digit
+    # from the right
+    edges = [int("".join("01"[bits >> e & 1] for bits in reversed(graphs)) or "0", 2)
+             for e in range(len(pairs))]
+    return _ug_lanes(n, graphs, edges)

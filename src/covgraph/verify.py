@@ -10,23 +10,28 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import ne
-from typing import Iterator
+from functools import lru_cache, reduce
+from operator import ne, or_
+from typing import Callable, Iterator
 
-from .closure import MAX_CLOSURE_NODES, RULES, ClosureState, saturate
+from .closure import MAX_CLOSURE_NODES, RULES, ClosureState, _lane_closure
 from .gaussian import _minors, sample_markov_gaussian, trial_seed
 from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit, components,
                      is_forest, iter_nodes, latent_dag)
-from .separation import (_dependence_row, _independence_row, _independent, canonical_triples,
+from .separation import (_dependence_row, _independence_row, _independent,
+                         _lane_dependence_row, _lane_independence_row, canonical_triples,
                          ci_independent)
-from .smallgraphs import all_forests, all_ugs, connected_ugs, random_ug
+from .smallgraphs import (UGLanes, all_ug_lanes, all_ugs, connected_ugs, default_labels,
+                          random_ug_lanes)
 
 MAX_LATENT_NODES = 5
 MAX_FOREST_NODES = 6
 MAX_FAITHFULNESS_NODES = 6
 MIN_FAITHFUL_FRACTION = 0.95  # share of trials that must be faithful
 MAX_FAILURES_KEPT = 20
+# lanes per batch of a lane sweep: the 32,768 labeled 6-node UGs, so a
+# random sample of any size runs in bounded memory
+MAX_LANES = 1 << 15
 
 
 @dataclass
@@ -206,32 +211,43 @@ def _require_trials(trials: int) -> None:
         raise ValueError("at least one trial required")
 
 
-def _closure_report(g: MixedGraph) -> Report:
-    """The rule closure of g against the single-path criterion."""
-    derived = saturate(g).row
-    certified = _dependence_row(g, GraphKind.COVARIANCE)
-    triples = canonical_triples(g.n)
-    report = Report(len(triples))
-    if derived != certified:
-        wrong = [(t.render(g.labels), d) for t, d, c in zip(triples, derived, certified) if d != c]
-        missing = sorted(text for text, d in wrong if not d)
-        extra = sorted(text for text, d in wrong if d)
-        report.violations.append(f"missing={missing} extra={extra}")
-    return report
+def _closure_check(lanes: UGLanes) -> tuple[int, int, Callable[[int], list[str]]]:
+    """The rule closure of every graph of `lanes` against the single-path
+    criterion, for `_lane_sweep`: a lane fails when its closure row and
+    its covariance dependence row differ, and its violation lists the
+    missing and the extra statements, each in sorted order."""
+    derived = _lane_closure(lanes.adj, _lane_independence_row(lanes, GraphKind.COVARIANCE))
+    certified = _lane_dependence_row(lanes, GraphKind.COVARIANCE)
+    wrong = [d ^ c for d, c in zip(derived, certified)]
+
+    def violations(k: int) -> list[str]:
+        labels = default_labels(lanes.n)
+        texts = [(t.render(labels), d >> k & 1)
+                 for t, d, w in zip(canonical_triples(lanes.n), derived, wrong) if w >> k & 1]
+        missing = sorted(text for text, d in texts if not d)
+        extra = sorted(text for text, d in texts if d)
+        return [f"missing={missing} extra={extra}"]
+
+    return lanes.full, reduce(or_, wrong, 0), violations
 
 
 def theorems_sweep(n_max: int = 5, random_graphs: int = 200, seed: int = 0) -> dict:
     """Set equality of the rule closure and the single-path criterion:
-    exhaustive up to 4 nodes, seeded random sample at 5 and 6."""
+    exhaustive up to 4 nodes, seeded random sample at 5 and 6.  Each size
+    runs as lane families: `all_ugs(n)`, or the `random_graphs` graphs
+    that `random_ug(n, rng)` draws from one `Random(seed)`, in batches of
+    at most `MAX_LANES`."""
     _require_sample(random_graphs, seed)
     rng = random.Random(seed)
 
-    def family(n: int):
+    def family(n: int) -> Iterator[UGLanes]:
         if n <= 4:
-            return all_ugs(n)
-        return (random_ug(n, rng) for _ in range(random_graphs))
+            yield all_ug_lanes(n)
+            return
+        for drawn in range(0, random_graphs, MAX_LANES):
+            yield random_ug_lanes(n, min(MAX_LANES, random_graphs - drawn), rng)
 
-    sweep = _per_graph_sweep("theorems", n_max, MAX_CLOSURE_NODES, family, _closure_report)
+    sweep = _lane_sweep("theorems", n_max, MAX_CLOSURE_NODES, family, _closure_check)
     sampled = random_graphs * max(n_max - 4, 0)
     return {
         "scope": "theorems",
@@ -241,6 +257,18 @@ def theorems_sweep(n_max: int = 5, random_graphs: int = 200, seed: int = 0) -> d
         "random_graphs": sampled,
         "failures": sweep["failures"],
         "passed": sweep["passed"],
+    }
+
+
+def _sweep_report(scope: str, n_max: int, graphs: int, triples: int, failures: list[str]
+                  ) -> dict:
+    return {
+        "scope": scope,
+        "n_max": n_max,
+        "graphs": graphs,
+        "triples_checked": triples,
+        "failures": failures,
+        "passed": not failures,
     }
 
 
@@ -258,14 +286,33 @@ def _per_graph_sweep(scope: str, n_max: int, limit: int, family, check) -> dict:
             triples += report.checked
             for v in report.violations:
                 _record(failures, f"{_describe(g)} {v}")
-    return {
-        "scope": scope,
-        "n_max": n_max,
-        "graphs": graphs,
-        "triples_checked": triples,
-        "failures": failures,
-        "passed": not failures,
-    }
+    return _sweep_report(scope, n_max, graphs, triples, failures)
+
+
+def _lane_sweep(scope: str, n_max: int, limit: int, family, check) -> dict:
+    """`_per_graph_sweep` over lanes: `family(n)` gives the graphs of size
+    n as `UGLanes` batches, and `check` (`_closure_check`, `_forest_check`)
+    returns the mask of the lanes it checks, the mask of those that fail
+    and a function giving a failing lane's violations.  Counts and
+    messages read as `_per_graph_sweep` gives them, graph by graph in
+    lane order."""
+    _require_n_max(scope, n_max, limit)
+    failures: list[str] = []
+    graphs = 0
+    triples = 0
+    for n in range(1, n_max + 1):
+        for lanes in family(n):
+            checked, failing, violations = check(lanes)
+            count = checked.bit_count()
+            graphs += count
+            triples += count * len(canonical_triples(n))
+            for k in iter_nodes(failing):
+                if len(failures) == MAX_FAILURES_KEPT:
+                    break
+                described = _describe(lanes.graph(k))
+                for v in violations(k):
+                    _record(failures, f"{described} {v}")
+    return _sweep_report(scope, n_max, graphs, triples, failures)
 
 
 def latent_sweep(n_max: int = 5) -> dict:
@@ -275,11 +322,29 @@ def latent_sweep(n_max: int = 5) -> dict:
                             verify_latent_equivalence)
 
 
+def _forest_check(lanes: UGLanes) -> tuple[int, int, Callable[[int], list[str]]]:
+    """`verify_forest_faithfulness` on every forest of `lanes`, for
+    `_lane_sweep`: a forest lane fails on each triple its dependence and
+    independence rows both read, or both refuse."""
+    forests = lanes.forests()
+    dependent = _lane_dependence_row(lanes, GraphKind.COVARIANCE)
+    independent = _lane_independence_row(lanes, GraphKind.COVARIANCE)
+    same = [forests & ~(d ^ i) for d, i in zip(dependent, independent)]
+
+    def violations(k: int) -> list[str]:
+        labels = default_labels(lanes.n)
+        return [f"{t.render(labels)}: dependent={bool(d >> k & 1)} independent={bool(i >> k & 1)}"
+                for t, d, i, w in zip(canonical_triples(lanes.n), dependent, independent, same)
+                if w >> k & 1]
+
+    return forests, reduce(or_, same, 0), violations
+
+
 def forest_sweep(n_max: int = 6) -> dict:
     """Dependence criterion equals negated independence criterion on every
-    labeled forest."""
-    return _per_graph_sweep("forest", n_max, MAX_FOREST_NODES, all_forests,
-                            verify_forest_faithfulness)
+    labeled forest, each size's forests as lanes of `all_ugs(n)`."""
+    return _lane_sweep("forest", n_max, MAX_FOREST_NODES, lambda n: [all_ug_lanes(n)],
+                       _forest_check)
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,8 @@ from covgraph.closure import (RULES, RULE_BASE, RULE_DECOMPOSITION, RULE_WEAK_TR
                               Derivation, _sites)
 from covgraph.graphs import disjoint_splits
 from covgraph.smallgraphs import all_ugs, random_ug
-from covgraph.verify import MAX_FAILURES_KEPT, _closure_report, theorems_sweep
+from covgraph.separation import _dependence_row
+from covgraph.verify import MAX_FAILURES_KEPT, theorems_sweep
 from closure_oracles import naive_explain, naive_saturate
 
 COV = GraphKind.COVARIANCE
@@ -285,8 +286,9 @@ class TestSaturate:
 class TestPositionalState:
     def test_callers_read_the_table_and_views_match_the_reference(self, monkeypatch):
         """`saturate`, `explain` of every statement, `replay_provenance`
-        and `_closure_report` hash no `CITriple`, construct no
-        `Derivation` and build neither view; read afterwards, the views
+        and the theorem check `saturate(g).row == _dependence_row(g, COV)`
+        hash no `CITriple`, construct no `Derivation` and build neither
+        view; read afterwards, the views
         equal the reference engine's, the provenance in order too.  In
         both sweep orders, on every labeled UG of up to 4 nodes and on
         seeded random 5- and 6-node UGs."""
@@ -303,8 +305,6 @@ class TestPositionalState:
 
         monkeypatch.setattr(CITriple, "__hash__", counted_hash)
         monkeypatch.setattr(Derivation, "__init__", counted_init)
-        made = []
-        monkeypatch.setattr(verify, "saturate", lambda g: made.append(saturate(g)) or made[-1])
 
         rng = random.Random(20261021)
         graphs = [g for n in range(1, 5) for g in all_ugs(n)]
@@ -317,9 +317,10 @@ class TestPositionalState:
                 for t in state.sorted_statements():
                     explain(state, t)
                 assert replay_provenance(state).passed
-                assert _closure_report(g).passed
+                checked = saturate(g)
+                assert checked.row == _dependence_row(g, COV)
                 assert calls == {}, (g, reverse)
-                for seen in (state, made.pop()):
+                for seen in (state, checked):
                     assert "established" not in seen.__dict__
                     assert "provenance" not in seen.__dict__
                 want = naive_saturate(g, _reverse_sweep=reverse)
@@ -428,30 +429,33 @@ class TestTheoremEquality:
             assert state.established == set(all_dependencies(g, COV))
 
     def test_reports_pass(self):
-        # the verification check (soundness and completeness as one set
-        # equality) passes and records nothing
+        # the theorem check (soundness and completeness as one equality of
+        # rows over every canonical triple) passes
         for g in (path3(), cycle4(), MixedGraph.ug("AB")):
-            report = _closure_report(g)
-            assert report.violations == []
-            assert report.checked == len(canonical_triples(g.n))
+            row = saturate(g).row
+            assert row == _dependence_row(g, COV)
+            assert len(row) == len(canonical_triples(g.n))
 
     def test_edgeless_passes_vacuously(self):
         g = MixedGraph.ug("ABC")
         assert saturate(g).established == set()
-        assert _closure_report(g).violations == []
+        assert saturate(g).row == _dependence_row(g, COV)
 
     def test_sweep_records_a_dropped_statement(self, monkeypatch):
-        def drop_first(g):
-            # the row is in canonical order, so its first established
-            # position is the smallest established statement
-            state = saturate(g)
-            if True not in state.row:
-                return state
-            row = list(state.row)
-            row[row.index(True)] = False
-            return replace(state, row=row)
+        real = verify._lane_closure
 
-        monkeypatch.setattr(verify, "saturate", drop_first)
+        def drop_first(adj, indep):
+            # each lane's row is in canonical order, so its first
+            # established position is its smallest established statement
+            est = real(adj, indep)
+            undropped = -1  # every lane
+            for p, lanes in enumerate(est):
+                first = lanes & undropped
+                est[p] ^= first
+                undropped ^= first
+            return est
+
+        monkeypatch.setattr(verify, "_lane_closure", drop_first)
         r = theorems_sweep(4, 0, 0)
         assert r["exhaustive_graphs"] == 75 and not r["passed"]
         # 71 of the 75 graphs have an edge, so each fails; 20 are kept

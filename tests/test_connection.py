@@ -22,12 +22,12 @@ from covgraph import (
     cov_dependence_witness,
     cov_dependent,
     iter_nodes,
+    saturate,
     verify_forest_faithfulness,
 )
 from covgraph import separation
 from covgraph.separation import UG_READINGS, _dependence_row, _unique_path, dependence_witness
 from covgraph.smallgraphs import all_forests, all_ugs, random_ug
-from covgraph.verify import _closure_report
 from oracles import all_simple_paths, count_paths_bruteforce, mask_of, und_neighbor_sets
 from strategies import dead_end_clique, ugs
 
@@ -381,9 +381,16 @@ class TestRowsShareTheReachTable:
         # the same one
         small_ugs = [g for n in range(1, 5) for g in all_ugs(n)]
         forests = [g for n in range(1, 6) for g in all_forests(n)]
-        for check, graphs in ((_closure_report, small_ugs), (verify_forest_faithfulness, forests)):
+
+        def closure_check(g):
+            return saturate(g).row == _dependence_row(g, COV)
+
+        def forest_check(g):
+            return verify_forest_faithfulness(g).passed
+
+        for check, graphs in ((closure_check, small_ugs), (forest_check, forests)):
             separation._reach_table.cache_clear()
             for g in graphs:
-                assert check(g).passed, g
+                assert check(g), g
             info = separation._reach_table.cache_info()
             assert (info.misses, info.hits) == (len(graphs), len(graphs)), check

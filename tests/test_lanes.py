@@ -1,0 +1,139 @@
+"""Lane families, lane verdict rows and the lane closure: every graph of a
+family as one bit of an int, against the per-graph rows and `saturate`."""
+
+import random
+
+import pytest
+
+from covgraph import GraphKind, MixedGraph, is_forest, saturate, verify_forest_faithfulness
+from covgraph import verify
+from covgraph.closure import _lane_closure
+from covgraph.separation import (UG_READINGS, _dependence_row, _independence_row,
+                                 _lane_dependence_row, _lane_independence_row)
+from covgraph.smallgraphs import all_ug_lanes, all_ugs, random_ug, random_ug_lanes
+from covgraph.verify import (MAX_FAILURES_KEPT, _closure_check, _describe, _forest_check,
+                             forest_sweep, theorems_sweep)
+
+COV = GraphKind.COVARIANCE
+
+
+def lane(row, k):
+    """Lane k of a lane row, as the per-graph row of bools."""
+    return [bool(lanes >> k & 1) for lanes in row]
+
+
+def assert_lanes_match(lanes, graphs):
+    """Every lane row and the lane closure of `lanes` equal, lane by lane,
+    the per-graph rows and `saturate(g).row` of `graphs`, in both UG
+    readings; lane k's graph and forest bit are graph k's."""
+    assert len(lanes.graphs) == len(graphs)
+    rows = {kind: (_lane_independence_row(lanes, kind), _lane_dependence_row(lanes, kind))
+            for kind in UG_READINGS}
+    closure = _lane_closure(lanes.adj, rows[COV][0])
+    forests = lanes.forests()
+    for k, g in enumerate(graphs):
+        assert lanes.graph(k) == g
+        assert bool(forests >> k & 1) == is_forest(g), g
+        for kind, (independent, dependent) in rows.items():
+            assert lane(independent, k) == _independence_row(g, kind), (kind, g)
+            assert lane(dependent, k) == _dependence_row(g, kind), (kind, g)
+        assert lane(closure, k) == saturate(g).row, g
+
+
+class TestLaneAgreement:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_labeled_ug(self, n):
+        # 1, 2, 8, 64 and 1,024 graphs
+        assert_lanes_match(all_ug_lanes(n), list(all_ugs(n)))
+
+    def test_random_six_node_batch(self):
+        lanes = random_ug_lanes(6, 24, random.Random(2028))
+        rng = random.Random(2028)
+        assert_lanes_match(lanes, [random_ug(6, rng) for _ in range(24)])
+
+    def test_random_batch_draws_as_random_ug_does(self):
+        # one batch per size from one generator, then the generator goes
+        # on where `random_ug` calls would leave it
+        rng, lane_rng = random.Random(7), random.Random(7)
+        for n, count in ((5, 3), (6, 4), (1, 2)):
+            lanes = random_ug_lanes(n, count, lane_rng)
+            assert [lanes.graph(k) for k in range(count)] == \
+                [random_ug(n, rng) for _ in range(count)]
+        assert lane_rng.getrandbits(64) == rng.getrandbits(64)
+
+    def test_empty_batch(self):
+        lanes = random_ug_lanes(5, 0, random.Random(0))
+        assert lanes.full == 0 and lanes.forests() == 0
+        assert set(_lane_dependence_row(lanes, COV)) == {0}
+
+
+class TestSixNodesExhaustive:
+    def test_closure_equals_criterion_on_every_ug(self):
+        # all 32,768 labeled 6-node UGs
+        lanes = all_ug_lanes(6)
+        checked, failing, _violations = _closure_check(lanes)
+        assert checked == lanes.full and checked.bit_count() == 32768
+        assert failing == 0
+
+    def test_dependence_complements_independence_on_every_forest(self):
+        checked, failing, _violations = _forest_check(all_ug_lanes(6))
+        assert checked.bit_count() == 2932
+        assert failing == 0
+
+
+def test_random_sample_runs_in_batches(monkeypatch):
+    """A sample larger than `MAX_LANES` is drawn batch by batch from the
+    one generator, and the report, failures in lane order included, reads
+    as one batch gives it.  The first statement of every 5- and 6-node
+    lane is dropped from the closure, so each sampled graph fails."""
+    real_closure, real_draw = verify._lane_closure, verify.random_ug_lanes
+
+    def drop_first(adj, indep):
+        est = real_closure(adj, indep)
+        if len(adj) >= 5:
+            undropped = -1
+            for p, lanes in enumerate(est):
+                first = lanes & undropped
+                est[p] ^= first
+                undropped ^= first
+        return est
+
+    batches = []
+
+    def draw(n, count, rng):
+        batches.append((n, count))
+        return real_draw(n, count, rng)
+
+    monkeypatch.setattr(verify, "_lane_closure", drop_first)
+    monkeypatch.setattr(verify, "random_ug_lanes", draw)
+    want = theorems_sweep(6, 7, 11)
+    assert batches == [(5, 7), (6, 7)]
+    assert len(want["failures"]) == 14 and want["random_graphs"] == 14
+    batches.clear()
+    monkeypatch.setattr(verify, "MAX_LANES", 3)
+    assert theorems_sweep(6, 7, 11) == want
+    assert batches == [(5, 3), (5, 3), (5, 1), (6, 3), (6, 3), (6, 1)]
+
+
+def test_forest_sweep_records_a_flipped_lane(monkeypatch):
+    """Every dependence verdict of one 3-node forest lane flipped: the
+    sweep renders that graph's lines as `verify_forest_faithfulness`
+    renders them with the same flip, and keeps its counts."""
+    k = 5  # edge bits A-B and B-C
+    g = all_ug_lanes(3).graph(k)
+    assert g == MixedGraph.ug("ABC", [("A", "B"), ("B", "C")])
+    real_lanes, real_row = verify._lane_dependence_row, verify._dependence_row
+
+    def flip_lane(lanes, kind):
+        row = real_lanes(lanes, kind)
+        return [r ^ 1 << k for r in row] if lanes.n == 3 else row
+
+    monkeypatch.setattr(verify, "_lane_dependence_row", flip_lane)
+    r = forest_sweep(4)
+    assert (r["graphs"], r["triples_checked"], r["passed"]) == (48, 2155, False)
+    monkeypatch.setattr(verify, "_dependence_row",
+                        lambda h, kind: [not d for d in real_row(h, kind)])
+    want = [f"{_describe(g)} {v}" for v in verify_forest_faithfulness(g).violations]
+    assert len(want) == 9 <= MAX_FAILURES_KEPT
+    assert r["failures"] == want
+    assert want[0] == "n=3 edges=[A-B,B-C] A ; B ; -: dependent=False independent=False"
