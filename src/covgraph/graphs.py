@@ -350,7 +350,7 @@ def latent_dag(g: MixedGraph) -> LatentDag:
     latents are appended in sorted edge order and named after their
     endpoints' labels.  d-separation in the result, over the original
     nodes, matches the covariance criterion on g exactly;
-    `covgraph.verify` checks this triple by triple.
+    `covgraph.verify` checks this.
     """
     if g.directed:
         raise ValueError("the latent construction starts from an undirected graph")

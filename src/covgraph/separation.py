@@ -512,3 +512,73 @@ def _lane_dependence_row(lanes, kind: GraphKind) -> list[int]:
     inside {a, b} | through."""
     return _lane_row(_lane_unique_paths(lanes.adj, lanes.full),
                      _lane_dependence_plan(lanes.n, kind))
+
+
+def _lane_reach(links: Sequence[Sequence[tuple[int, int]]], seed: Sequence[int],
+                avoid: NodeSet = 0) -> list[int]:
+    """For each node, the lanes in which steps along `links` reach it
+    from the seed: node v starts reached in the lanes `seed[v]`, and
+    `links[v]` lists each step (w, lanes) out of v with the lanes that
+    hold it; no step enters a node of `avoid`.  Each pushed step carries
+    only the lanes new to its end, so every lane of every node is pushed
+    at most once."""
+    reach = list(seed)
+    stack = [(v, lanes) for v, lanes in enumerate(seed) if lanes]
+    while stack:
+        v, new = stack.pop()
+        for w, lanes in links[v]:
+            add = new & lanes & ~reach[w]
+            if add and not avoid >> w & 1:
+                reach[w] |= add
+                stack.append((w, add))
+    return reach
+
+
+def _lane_moral_links(parents: Sequence[Sequence[tuple[int, int]]], full: int,
+                      inside: NodeSet) -> list[list[tuple[int, int]]]:
+    """The moral graph of the ancestral set of `inside` in every lane of a
+    lane DAG, as `_lane_reach` links; `parents[v]` lists each (u, lanes
+    with the arrow u -> v).  The ancestral lanes of each node come from
+    the nodes of `inside` by parent steps; each child-parent arrow, and
+    each pair of parents of one child, is an edge in the child's
+    ancestral lanes."""
+    size = len(parents)
+    anc = _lane_reach(parents, [full if inside >> v & 1 else 0 for v in range(size)])
+    moral = [[0] * size for _ in range(size)]
+    for c in range(size):
+        held = [(p, anc[c] & lanes) for p, lanes in parents[c] if anc[c] & lanes]
+        for i, (p, lanes) in enumerate(held):
+            moral[c][p] |= lanes
+            moral[p][c] |= lanes
+            for q, other in held[:i]:
+                both = lanes & other
+                moral[p][q] |= both
+                moral[q][p] |= both
+    return [[(w, lanes) for w, lanes in enumerate(row) if lanes] for row in moral]
+
+
+def _lane_dag_independence_row(pa: Sequence[Sequence[int]], full: int, n: int) -> list[int]:
+    """d-separation over nodes 0..n-1 of a lane DAG, in every lane of
+    `full` at once: entry p holds the lanes where X and Y of triple p of
+    `canonical_triples(n)` are d-separated given Z.  `pa[v][u]` holds the
+    lanes with the arrow u -> v; the DAG may have more nodes than n.
+
+    The steps of `_independent`'s DAG branch, on lanes: the moral graph
+    of the ancestral set of X|Y|Z (`_lane_moral_links`, cached per union
+    as `_independent`'s `moral` dict caches it), then a reach from X that
+    avoids Z."""
+    parents = [[(u, lanes) for u, lanes in enumerate(row) if lanes] for row in pa]
+    moral: dict[NodeSet, list[list[tuple[int, int]]]] = {}
+    size = len(pa)
+    row = []
+    for t in canonical_triples(n):
+        inside = t.x | t.y | t.z
+        links = moral.get(inside)
+        if links is None:
+            links = moral[inside] = _lane_moral_links(parents, full, inside)
+        reach = _lane_reach(links, [full if t.x >> v & 1 else 0 for v in range(size)], t.z)
+        joined = 0
+        for y in iter_nodes(t.y):
+            joined |= reach[y]
+        row.append(full ^ joined)
+    return row

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import combinations
 from operator import ne, or_
 from typing import Callable, Iterator
 
@@ -19,9 +20,9 @@ from .gaussian import _minors, sample_markov_gaussian, trial_seed
 from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit, components,
                      is_forest, iter_nodes, latent_dag)
 from .separation import (_dependence_row, _independence_row, _independent,
-                         _lane_dependence_row, _lane_independence_row, canonical_triples,
-                         ci_independent)
-from .smallgraphs import (UGLanes, all_ug_lanes, all_ugs, connected_ugs, default_labels,
+                         _lane_dag_independence_row, _lane_dependence_row,
+                         _lane_independence_row, canonical_triples, ci_independent)
+from .smallgraphs import (UGLanes, all_ug_lanes, connected_ugs, default_labels,
                           random_ug_lanes)
 
 MAX_LATENT_NODES = 5
@@ -291,11 +292,11 @@ def _per_graph_sweep(scope: str, n_max: int, limit: int, family, check) -> dict:
 
 def _lane_sweep(scope: str, n_max: int, limit: int, family, check) -> dict:
     """`_per_graph_sweep` over lanes: `family(n)` gives the graphs of size
-    n as `UGLanes` batches, and `check` (`_closure_check`, `_forest_check`)
-    returns the mask of the lanes it checks, the mask of those that fail
-    and a function giving a failing lane's violations.  Counts and
-    messages read as `_per_graph_sweep` gives them, graph by graph in
-    lane order."""
+    n as `UGLanes` batches, and `check` (`_closure_check`, `_latent_check`,
+    `_forest_check`) returns the mask of the lanes it checks, the mask of
+    those that fail and a function giving a failing lane's violations.
+    Counts and messages read as `_per_graph_sweep` gives them, graph by
+    graph in lane order."""
     _require_n_max(scope, n_max, limit)
     failures: list[str] = []
     graphs = 0
@@ -315,11 +316,45 @@ def _lane_sweep(scope: str, n_max: int, limit: int, family, check) -> dict:
     return _sweep_report(scope, n_max, graphs, triples, failures)
 
 
+def _latent_parents(lanes: UGLanes) -> list[list[int]]:
+    """The `latent_dag` of every graph of `lanes` as one lane DAG: entry
+    [v][u] holds the lanes whose latent DAG has the arrow u -> v.  Every
+    lane shares one node numbering: original nodes keep their ids, and
+    the latent of pair (a, b) takes id n + the pair's index in
+    `combinations(range(n), 2)`."""
+    n = lanes.n
+    pairs = {pair: n + i for i, pair in enumerate(combinations(range(n), 2))}
+    pa = [[0] * (n + len(pairs)) for _ in range(n + len(pairs))]
+    for k in range(len(lanes.graphs)):
+        h = latent_dag(lanes.graph(k))
+        ids = {latent: pairs[a, b] for a, b, latent in h.latents}
+        for tail, head in h.dag.directed:
+            pa[ids.get(head, head)][ids.get(tail, tail)] |= 1 << k
+    return pa
+
+
+def _latent_check(lanes: UGLanes) -> tuple[int, int, Callable[[int], list[str]]]:
+    """`verify_latent_equivalence` on every graph of `lanes`, for
+    `_lane_sweep`: a lane fails on each triple where d-separation in its
+    latent DAG and the covariance criterion disagree."""
+    criterion = _lane_independence_row(lanes, GraphKind.COVARIANCE)
+    latent = _lane_dag_independence_row(_latent_parents(lanes), lanes.full, lanes.n)
+    wrong = [c ^ d for c, d in zip(criterion, latent)]
+
+    def violations(k: int) -> list[str]:
+        labels = default_labels(lanes.n)
+        return [f"{t.render(labels)}: criterion={bool(c >> k & 1)} latent-dag={not c >> k & 1}"
+                for t, c, w in zip(canonical_triples(lanes.n), criterion, wrong) if w >> k & 1]
+
+    return lanes.full, reduce(or_, wrong, 0), violations
+
+
 def latent_sweep(n_max: int = 5) -> dict:
     """Covariance criterion versus d-separation in the latent-collider DAG,
-    exhaustive over labeled UGs."""
-    return _per_graph_sweep("latent", n_max, MAX_LATENT_NODES, all_ugs,
-                            verify_latent_equivalence)
+    exhaustive over labeled UGs, each size's graphs as the lanes of
+    `all_ug_lanes(n)`."""
+    return _lane_sweep("latent", n_max, MAX_LATENT_NODES, lambda n: [all_ug_lanes(n)],
+                       _latent_check)
 
 
 def _forest_check(lanes: UGLanes) -> tuple[int, int, Callable[[int], list[str]]]:

@@ -317,6 +317,14 @@ class TestVerifyCommands:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "8561646ee8c64c7ab6bbc4a96c0b19391ea9f974ae34831c200e48c2487e8782"
 
+    def test_latent_report_bytes_are_pinned_at_five_nodes(self, capsys):
+        # `--scope all` above stops the latent sweep at 4 nodes; this pins
+        # the report over all 1,099 labeled UGs of 1-5 nodes
+        code, out, _ = run_cli(capsys, ["verify", "--scope", "latent", "--n-max", "5", "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "e4ffec508b13dae4c815ebf2d3a02b6df46f95b90ace3e3cb326b72a308e6070"
+
     def test_all_caps_each_sweep_size(self, monkeypatch):
         # the sizes `--scope all` runs decide how long it takes
         import covgraph.verify as verify

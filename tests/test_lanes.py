@@ -1,18 +1,23 @@
 """Lane families, lane verdict rows and the lane closure: every graph of a
-family as one bit of an int, against the per-graph rows and `saturate`."""
+family as one bit of an int, against the per-graph rows, `saturate` and
+per-graph d-separation."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from covgraph import GraphKind, MixedGraph, is_forest, saturate, verify_forest_faithfulness
-from covgraph import verify
+from covgraph import (CITriple, GraphKind, MixedGraph, bit, canonical_triples, is_forest,
+                      latent_dag, saturate, verify_forest_faithfulness,
+                      verify_latent_equivalence)
+from covgraph import separation, verify
 from covgraph.closure import _lane_closure
 from covgraph.separation import (UG_READINGS, _dependence_row, _independence_row,
+                                 _independent, _lane_dag_independence_row,
                                  _lane_dependence_row, _lane_independence_row)
 from covgraph.smallgraphs import all_ug_lanes, all_ugs, random_ug, random_ug_lanes
 from covgraph.verify import (MAX_FAILURES_KEPT, _closure_check, _describe, _forest_check,
-                             forest_sweep, theorems_sweep)
+                             _latent_parents, forest_sweep, latent_sweep, theorems_sweep)
 
 COV = GraphKind.COVARIANCE
 
@@ -137,3 +142,124 @@ def test_forest_sweep_records_a_flipped_lane(monkeypatch):
     assert len(want) == 9 <= MAX_FAILURES_KEPT
     assert r["failures"] == want
     assert want[0] == "n=3 edges=[A-B,B-C] A ; B ; -: dependent=False independent=False"
+
+
+def dag_rows(dags, n):
+    """Per-graph d-separation (`_independent`'s DAG branch) on each DAG,
+    over the triples of `canonical_triples(n)`."""
+    rows = []
+    for h in dags:
+        moral: dict = {}
+        rows.append([_independent(h, GraphKind.DAG, t.x, t.y, t.z, moral)
+                     for t in canonical_triples(n)])
+    return rows
+
+
+def random_dag(size, rng):
+    """A DAG on `size` nodes whose topological order is a shuffle of the
+    node ids, each forward pair an arrow with probability one half."""
+    order = list(range(size))
+    rng.shuffle(order)
+    labels = [f"V{v}" for v in range(size)]
+    arrows = [(labels[order[i]], labels[order[j]])
+              for i, j in combinations(range(size), 2) if rng.random() < 0.5]
+    return MixedGraph.dag(labels, arrows)
+
+
+class TestLaneDagRow:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_latent_dag_of_every_labeled_ug(self, n):
+        lanes = all_ug_lanes(n)
+        row = _lane_dag_independence_row(_latent_parents(lanes), lanes.full, n)
+        want = dag_rows([latent_dag(g).dag for g in all_ugs(n)], n)
+        assert len(row) == len(canonical_triples(n))
+        for k, expected in enumerate(want):
+            assert lane(row, k) == expected, lanes.graph(k)
+
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_random_dags_with_shuffled_orders(self, size):
+        # the row knows nothing of the latent shape: any DAG, read over all
+        # of its nodes or over its first nodes only
+        rng = random.Random(2029 + size)
+        dags = [random_dag(size, rng) for _ in range(40)]
+        pa = [[0] * size for _ in range(size)]
+        for k, h in enumerate(dags):
+            for tail, head in h.directed:
+                pa[head][tail] |= 1 << k
+        assert sum(1 for h in dags if h.directed) > 30 or size < 3
+        for n in {size, (size + 1) // 2}:
+            row = _lane_dag_independence_row(pa, (1 << len(dags)) - 1, n)
+            for k, expected in enumerate(dag_rows(dags, n)):
+                assert lane(row, k) == expected, (dags[k], n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_parents_are_the_latent_dag_arrows(self, n):
+        # lane k's arrows are those of latent_dag(graph k), with the latent
+        # named L_a_b taking id n + the index of pair (a, b)
+        labels = "ABCDE"[:n]
+        ids = {f"L_{labels[a]}_{labels[b]}": n + i
+               for i, (a, b) in enumerate(combinations(range(n), 2))}
+        ids.update((label, v) for v, label in enumerate(labels))
+        lanes = all_ug_lanes(n)
+        pa = _latent_parents(lanes)
+        assert len(pa) == n + n * (n - 1) // 2
+        for k, g in enumerate(all_ugs(n)):
+            h = latent_dag(g).dag
+            want = {(ids[h.labels[tail]], ids[h.labels[head]]) for tail, head in h.directed}
+            got = {(u, v) for v, row in enumerate(pa) for u, lanes in enumerate(row)
+                   if lanes >> k & 1}
+            assert got == want, g
+
+    def test_sweep_makes_no_per_triple_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-triple d-separation call")
+
+        monkeypatch.setattr(separation, "_independent", refuse)
+        monkeypatch.setattr(verify, "_independent", refuse)
+        r = latent_sweep(5)
+        assert (r["graphs"], r["triples_checked"], r["passed"]) == (1099, 295434, True)
+
+
+def test_latent_sweep_records_a_flipped_lane(monkeypatch):
+    """The criterion's A ; C ; - verdict of the path A-B-C lane flipped at
+    3 nodes: the sweep renders that graph's line as
+    `verify_latent_equivalence` renders it with the same flip."""
+    k = 5  # edge bits A-B and B-C
+    g = all_ug_lanes(3).graph(k)
+    assert g == MixedGraph.ug("ABC", [("A", "B"), ("B", "C")])
+    p = canonical_triples(3).index(CITriple(bit(0), bit(2)))
+    real_lanes, real_row = verify._lane_independence_row, verify._independence_row
+
+    def flip_lane(lanes, kind):
+        row = real_lanes(lanes, kind)
+        if lanes.n == 3:
+            row[p] ^= 1 << k
+        return row
+
+    def flip_row(h, kind):
+        row = real_row(h, kind)
+        row[p] = not row[p]
+        return row
+
+    monkeypatch.setattr(verify, "_lane_independence_row", flip_lane)
+    r = latent_sweep(4)
+    assert (r["graphs"], r["triples_checked"], r["passed"]) == (75, 3594, False)
+    monkeypatch.setattr(verify, "_independence_row", flip_row)
+    want = [f"{_describe(g)} {v}" for v in verify_latent_equivalence(g).violations]
+    assert r["failures"] == want
+    assert want == ["n=3 edges=[A-B,B-C] A ; C ; -: criterion=False latent-dag=True"]
+
+
+def test_latent_sweep_caps_its_failures(monkeypatch):
+    """Every d-separation verdict of every lane flipped: every graph with
+    a triple fails, and the sweep keeps the first `MAX_FAILURES_KEPT`
+    messages, in size and lane order."""
+    real = verify._lane_dag_independence_row
+    monkeypatch.setattr(verify, "_lane_dag_independence_row",
+                        lambda pa, full, n: [full ^ r for r in real(pa, full, n)])
+    r = latent_sweep(3)
+    assert (r["graphs"], r["triples_checked"], r["passed"]) == (11, 74, False)
+    assert len(r["failures"]) == MAX_FAILURES_KEPT
+    assert r["failures"][:2] == ["n=2 edges=[] A ; B ; -: criterion=True latent-dag=False",
+                                 "n=2 edges=[A-B] A ; B ; -: criterion=False latent-dag=True"]
+    assert r["failures"][2].startswith("n=3 edges=[] ")

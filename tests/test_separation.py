@@ -151,9 +151,9 @@ class TestSep:
                     assert ci_independent(g, CONC, t.x, t.y, t.z) == expect
 
     def test_shared_cache_matches_one_shot_sep(self):
-        # one cache per graph, filled in canonical order, as the latent
-        # check and `all_independencies` use it; triples with one union
-        # share an entry
+        # one cache per graph, filled in canonical order, as
+        # `verify_latent_equivalence` and `all_independencies` use it;
+        # triples with one union share an entry
         graphs = [(latent_dag(g).dag, n) for n in range(1, 5) for g in all_ugs(n)]
         rng = random.Random(20261018)
         graphs += [(h, h.n) for h in (random_chain_graph(rng) for _ in range(30))]
