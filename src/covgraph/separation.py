@@ -400,64 +400,33 @@ def all_dependencies(g: MixedGraph, kind: GraphKind) -> list[CITriple]:
 # Lane rows: every graph of a `smallgraphs.UGLanes` family at once.  Entry
 # p of a lane row is an int whose bit k is graph k's verdict on triple p
 # of `canonical_triples(n)`.  A lane table keeps one lane mask per cell
-# `(s * n + a) * n + b`, for a node set s and nodes a, b, in both orders
-# of a and b.
+# `(t * n + a) * n + b`, for nodes a, b and a node set t holding neither,
+# in both orders of a and b.
 
 def _cells(n: int, s: NodeSet, x: NodeSet, y: NodeSet) -> tuple[int, ...]:
-    """The lane-table cells of set s for every pair a in X, b in Y."""
-    return tuple((s * n + a) * n + b for a in iter_nodes(x) for b in iter_nodes(y))
+    """The lane-table cells of s minus {a, b} for every pair a in X, b in Y."""
+    return tuple(((s & ~bit(a) & ~bit(b)) * n + a) * n + b
+                 for a in iter_nodes(x) for b in iter_nodes(y))
 
 
 @lru_cache(maxsize=None)
-def _lane_independence_plan(n: int, kind: GraphKind) -> tuple[tuple[int, ...], ...]:
-    """For each entry of `_independence_plan(n, kind)`: the cells of
-    `_lane_connection` that join some a in X to some b in Y inside
-    X|Y|through."""
-    mask = (1 << n) - 1
-    return tuple(_cells(n, i >> n, i & mask, y) for i, y in _independence_plan(n, kind))
+def _lane_plan(n: int, kind: GraphKind) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """For each entry (through, X, Y) of `_dependence_plan(n, kind)`: the
+    cells of X|Y|through, where some a in X meets some b in Y, and the
+    cells of `through`, where a single a..b path may run."""
+    return tuple((_cells(n, x | y | via, x, y), _cells(n, via, x, y))
+                 for via, x, y in _dependence_plan(n, kind))
 
 
-@lru_cache(maxsize=None)
-def _lane_dependence_plan(n: int, kind: GraphKind) -> tuple[tuple[int, ...], ...]:
-    """For each entry of `_dependence_plan(n, kind)`: the cells of
-    `_lane_unique_paths` of its `through` set for every a in X, b in Y."""
-    return tuple(_cells(n, via, x, y) for via, x, y in _dependence_plan(n, kind))
-
-
-def _lane_connection(adj: Sequence[Sequence[int]], full: int) -> list[int]:
-    """The lane table whose cell (s, a, b), for a, b in s, holds the lanes
-    whose graph joins a to b inside s.  Each s extends s minus its top
-    node k: a path inside s avoids k, or joins a to k and k to b."""
+def _lane_paths(adj: Sequence[Sequence[int]], full: int) -> tuple[list[int], list[int]]:
+    """The lane tables `joined` and `unique`, whose cell (t, a, b), for
+    a != b outside t, holds the lanes whose graph joins a to b inside
+    {a, b} | t by some simple path and by exactly one.  One walk from a
+    over the simple paths inside t counts, for each later end b, the lanes
+    where a path reaches b, in two bits per lane that saturate at two:
+    `ones` (at least one path) and `twos` (at least two)."""
     n = len(adj)
-    conn = [0] * (n * n << n)
-    for s in range(1, 1 << n):
-        k = s.bit_length() - 1
-        rest = s ^ bit(k)
-        old, new = rest * n * n, s * n * n
-        nodes = list(iter_nodes(rest))
-        # to_k[a]: the lanes in which a reaches k inside s
-        to_k = [0] * n
-        for a in nodes:
-            lanes = 0
-            for u in nodes:
-                lanes |= conn[old + a * n + u] & adj[u][k]
-            to_k[a] = conn[new + a * n + k] = conn[new + k * n + a] = lanes
-        conn[new + k * n + k] = full
-        for i, a in enumerate(nodes):
-            for b in nodes[i:]:
-                conn[new + a * n + b] = conn[new + b * n + a] = \
-                    conn[old + a * n + b] | to_k[a] & to_k[b]
-    return conn
-
-
-def _lane_unique_paths(adj: Sequence[Sequence[int]], full: int) -> list[int]:
-    """The lane table whose cell (t, a, b), for a != b outside t, holds the
-    lanes whose graph joins a to b by exactly one simple path inside
-    {a, b} | t.  One walk from a over the simple paths inside t counts,
-    for each later end b, the lanes where a path reaches b, in two bits
-    per lane that saturate at two: `ones` (at least one path) and `twos`
-    (at least two)."""
-    n = len(adj)
+    joined = [0] * (n * n << n)
     unique = [0] * (n * n << n)
     for t in range(1 << n):
         free = ((1 << n) - 1) & ~t
@@ -482,36 +451,30 @@ def _lane_unique_paths(adj: Sequence[Sequence[int]], full: int) -> list[int]:
                     if step:
                         stack.append((u, step, left ^ bit(u)))
             for b in ends:
-                unique[base + a * n + b] = unique[base + b * n + a] = ones[b] & ~twos[b]
-    return unique
+                ab, ba = base + a * n + b, base + b * n + a
+                joined[ab] = joined[ba] = ones[b]
+                unique[ab] = unique[ba] = ones[b] & ~twos[b]
+    return joined, unique
 
 
-def _lane_row(table: list[int], plan: tuple[tuple[int, ...], ...]) -> list[int]:
-    """For each entry of `plan`, the union of its cells of `table`."""
-    row = []
-    for cells in plan:
-        lanes = 0
-        for c in cells:
-            lanes |= table[c]
-        row.append(lanes)
-    return row
-
-
-def _lane_independence_row(lanes, kind: GraphKind) -> list[int]:
-    """`_independence_row` of every graph of the `UGLanes` family `lanes`,
-    under a UG reading: the lanes where X reaches no node of Y inside
-    X|Y|through."""
+def _lane_rows(lanes, kind: GraphKind) -> tuple[list[int], list[int]]:
+    """`_independence_row` and `_dependence_row` of every graph of the
+    `UGLanes` family `lanes`, under a UG reading, from one `_lane_paths`
+    walk: X and Y are independent in the lanes where no a in X meets a b
+    in Y inside X|Y|through, and dependent in the lanes where some a in X,
+    b in Y have exactly one simple path inside {a, b} | through."""
     full = lanes.full
-    joined = _lane_row(_lane_connection(lanes.adj, full), _lane_independence_plan(lanes.n, kind))
-    return [full ^ j for j in joined]
-
-
-def _lane_dependence_row(lanes, kind: GraphKind) -> list[int]:
-    """`_dependence_row` of every graph of the `UGLanes` family `lanes`:
-    the lanes where some a in X, b in Y have exactly one simple path
-    inside {a, b} | through."""
-    return _lane_row(_lane_unique_paths(lanes.adj, lanes.full),
-                     _lane_dependence_plan(lanes.n, kind))
+    joined, unique = _lane_paths(lanes.adj, full)
+    independent, dependent = [], []
+    for meet, single in _lane_plan(lanes.n, kind):
+        met = once = 0
+        for c in meet:
+            met |= joined[c]
+        for c in single:
+            once |= unique[c]
+        independent.append(full ^ met)
+        dependent.append(once)
+    return independent, dependent
 
 
 def _lane_reach(links: Sequence[Sequence[tuple[int, int]]], seed: Sequence[int],

@@ -20,8 +20,8 @@ from .gaussian import _minors, sample_markov_gaussian, trial_seed
 from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit, components,
                      is_forest, iter_nodes, latent_dag)
 from .separation import (_dependence_row, _independence_row, _independent,
-                         _lane_dag_independence_row, _lane_dependence_row,
-                         _lane_independence_row, canonical_triples, ci_independent)
+                         _lane_dag_independence_row, _lane_rows, canonical_triples,
+                         ci_independent)
 from .smallgraphs import (UGLanes, all_ug_lanes, connected_ugs, default_labels,
                           random_ug_lanes)
 
@@ -216,9 +216,10 @@ def _closure_check(lanes: UGLanes) -> tuple[int, int, Callable[[int], list[str]]
     """The rule closure of every graph of `lanes` against the single-path
     criterion, for `_lane_sweep`: a lane fails when its closure row and
     its covariance dependence row differ, and its violation lists the
-    missing and the extra statements, each in sorted order."""
-    derived = _lane_closure(lanes.adj, _lane_independence_row(lanes, GraphKind.COVARIANCE))
-    certified = _lane_dependence_row(lanes, GraphKind.COVARIANCE)
+    missing and the extra statements, each in sorted order.  Both
+    covariance rows come from one `_lane_rows` call."""
+    independent, certified = _lane_rows(lanes, GraphKind.COVARIANCE)
+    derived = _lane_closure(lanes.adj, independent)
     wrong = [d ^ c for d, c in zip(derived, certified)]
 
     def violations(k: int) -> list[str]:
@@ -261,42 +262,13 @@ def theorems_sweep(n_max: int = 5, random_graphs: int = 200, seed: int = 0) -> d
     }
 
 
-def _sweep_report(scope: str, n_max: int, graphs: int, triples: int, failures: list[str]
-                  ) -> dict:
-    return {
-        "scope": scope,
-        "n_max": n_max,
-        "graphs": graphs,
-        "triples_checked": triples,
-        "failures": failures,
-        "passed": not failures,
-    }
-
-
-def _per_graph_sweep(scope: str, n_max: int, limit: int, family, check) -> dict:
-    """Run `check` (a per-graph Report builder) on every graph of
-    `family(n)` for n = 1..n_max and gather the violations."""
-    _require_n_max(scope, n_max, limit)
-    failures: list[str] = []
-    graphs = 0
-    triples = 0
-    for n in range(1, n_max + 1):
-        for g in family(n):
-            graphs += 1
-            report = check(g)
-            triples += report.checked
-            for v in report.violations:
-                _record(failures, f"{_describe(g)} {v}")
-    return _sweep_report(scope, n_max, graphs, triples, failures)
-
-
 def _lane_sweep(scope: str, n_max: int, limit: int, family, check) -> dict:
-    """`_per_graph_sweep` over lanes: `family(n)` gives the graphs of size
-    n as `UGLanes` batches, and `check` (`_closure_check`, `_latent_check`,
-    `_forest_check`) returns the mask of the lanes it checks, the mask of
-    those that fail and a function giving a failing lane's violations.
-    Counts and messages read as `_per_graph_sweep` gives them, graph by
-    graph in lane order."""
+    """Run `check` on every lane family of `family(n)`, the graphs of size
+    n as `UGLanes` batches, for n = 1..n_max, and gather the violations.
+    `check` (`_closure_check`, `_latent_check`, `_forest_check`) returns
+    the mask of the lanes it checks, the mask of those that fail and a
+    function giving a failing lane's violations; messages are kept graph
+    by graph in lane order, as many as `MAX_FAILURES_KEPT`."""
     _require_n_max(scope, n_max, limit)
     failures: list[str] = []
     graphs = 0
@@ -313,7 +285,14 @@ def _lane_sweep(scope: str, n_max: int, limit: int, family, check) -> dict:
                 described = _describe(lanes.graph(k))
                 for v in violations(k):
                     _record(failures, f"{described} {v}")
-    return _sweep_report(scope, n_max, graphs, triples, failures)
+    return {
+        "scope": scope,
+        "n_max": n_max,
+        "graphs": graphs,
+        "triples_checked": triples,
+        "failures": failures,
+        "passed": not failures,
+    }
 
 
 def _latent_parents(lanes: UGLanes) -> list[list[int]]:
@@ -336,8 +315,9 @@ def _latent_parents(lanes: UGLanes) -> list[list[int]]:
 def _latent_check(lanes: UGLanes) -> tuple[int, int, Callable[[int], list[str]]]:
     """`verify_latent_equivalence` on every graph of `lanes`, for
     `_lane_sweep`: a lane fails on each triple where d-separation in its
-    latent DAG and the covariance criterion disagree."""
-    criterion = _lane_independence_row(lanes, GraphKind.COVARIANCE)
+    latent DAG and the covariance criterion disagree.  The criterion row
+    is the independence half of `_lane_rows`."""
+    criterion, _dependent = _lane_rows(lanes, GraphKind.COVARIANCE)
     latent = _lane_dag_independence_row(_latent_parents(lanes), lanes.full, lanes.n)
     wrong = [c ^ d for c, d in zip(criterion, latent)]
 
@@ -360,10 +340,11 @@ def latent_sweep(n_max: int = 5) -> dict:
 def _forest_check(lanes: UGLanes) -> tuple[int, int, Callable[[int], list[str]]]:
     """`verify_forest_faithfulness` on every forest of `lanes`, for
     `_lane_sweep`: a forest lane fails on each triple its dependence and
-    independence rows both read, or both refuse."""
+    independence rows, both from one `_lane_rows` call, both read or both
+    refuse.  The forest mask comes from `UGLanes.forests`, a walk of its
+    own, not from the rows it selects lanes to compare."""
     forests = lanes.forests()
-    dependent = _lane_dependence_row(lanes, GraphKind.COVARIANCE)
-    independent = _lane_independence_row(lanes, GraphKind.COVARIANCE)
+    independent, dependent = _lane_rows(lanes, GraphKind.COVARIANCE)
     same = [forests & ~(d ^ i) for d, i in zip(dependent, independent)]
 
     def violations(k: int) -> list[str]:
@@ -426,7 +407,7 @@ def corollaries_sweep(
     trials: int = 100,
     seed: int = 0,
 ) -> dict:
-    """Sampled-model checks per connected UG, run by `_per_graph_sweep`.
+    """Sampled-model checks on every connected UG of 1..n_max nodes.
 
     Per graph, at least `MIN_FAITHFUL_FRACTION` of the trials must be
     faithful: a minor vanishes exactly when the graph criterion reads
@@ -440,54 +421,56 @@ def corollaries_sweep(
 
     A faithful trial's row is the criterion's row, so every faithful trial
     of a graph shares one recovery, checked once per graph on
-    `_criterion_pairs(g)`; an unfaithful trial checks its own.  The
-    counters are sums over the per-graph faithful counts.
+    `_criterion_pairs(g)`; an unfaithful trial checks its own.  Graph i
+    (counting from 0 over all sizes) draws its trials from seed
+    `seed + 7919 * i`.
     """
     _require_n_max("corollaries", n_max, MAX_FAITHFULNESS_NODES)
     _require_trials(trials)
-    counts: list[tuple[int, int, bool]] = []  # per graph: faithful, artifacts, recovery ok
+    failures: list[str] = []
+    graphs = faithful_trials = structural = artifacts = below = 0
+    least = trials
+    for n in range(1, n_max + 1):
+        for g in connected_ugs(n):
+            marginal, full = _entries_given(n, 0), _entries_given(n, g.full_mask)
 
-    def check(g: MixedGraph) -> Report:
-        n = g.n
-        marginal, full = _entries_given(n, 0), _entries_given(n, g.full_mask)
+            def recovery_ok(row: list[bool]) -> bool:
+                return _recovery_ok(_recovered(n, row, marginal), _recovered(n, row, full))
 
-        def recovery_ok(row: list[bool]) -> bool:
-            return _recovery_ok(_recovered(n, row, marginal), _recovered(n, row, full))
-
-        ok = recovery_ok(_criterion_pairs(g))
-        report = Report(trials)
-        faithful = artifacts = 0
-        for t, (row, bad) in enumerate(_trials(g, trials, seed + 7919 * len(counts))):
-            if bad:
-                artifacts += not recovery_ok(row)
-                continue
-            faithful += 1
-            if not ok:
-                report.violations.append(f"trial {t}: recovery defect on a faithful trial")
-        fraction = faithful / trials
-        if fraction < MIN_FAITHFUL_FRACTION:
-            report.violations.append(
-                f"faithful fraction {fraction:.3f} < {MIN_FAITHFUL_FRACTION}")
-        counts.append((faithful, artifacts, ok))
-        return report
-
-    sweep = _per_graph_sweep("corollaries", n_max, MAX_FAITHFULNESS_NODES, connected_ugs, check)
-    fractions = [faithful / trials for faithful, _artifacts, _ok in counts]
+            ok = recovery_ok(_criterion_pairs(g))
+            faithful = 0
+            for t, (row, bad) in enumerate(_trials(g, trials, seed + 7919 * graphs)):
+                if bad:
+                    artifacts += not recovery_ok(row)
+                    continue
+                faithful += 1
+                if not ok:
+                    _record(failures,
+                            f"{_describe(g)} trial {t}: recovery defect on a faithful trial")
+            fraction = faithful / trials
+            if fraction < MIN_FAITHFUL_FRACTION:
+                below += 1
+                _record(failures, f"{_describe(g)} faithful fraction {fraction:.3f}"
+                                  f" < {MIN_FAITHFUL_FRACTION}")
+            graphs += 1
+            faithful_trials += faithful
+            structural += 0 if ok else faithful
+            least = min(least, faithful)
     return {
         "scope": "corollaries",
         "n_max": n_max,
         "trials": trials,
         "seed": seed,
         "threshold": MIN_FAITHFUL_FRACTION,
-        "graphs": sweep["graphs"],
-        "total_trials": sweep["graphs"] * trials,
-        "faithful_trials": sum(faithful for faithful, _artifacts, _ok in counts),
-        "structural_failures": sum(faithful for faithful, _artifacts, ok in counts if not ok),
-        "tolerance_artifact_trials": sum(artifacts for _faithful, artifacts, _ok in counts),
-        "min_faithful_fraction": min(fractions),
-        "graphs_below_threshold": sum(f < MIN_FAITHFUL_FRACTION for f in fractions),
-        "failures": sweep["failures"],
-        "passed": sweep["passed"],
+        "graphs": graphs,
+        "total_trials": graphs * trials,
+        "faithful_trials": faithful_trials,
+        "structural_failures": structural,
+        "tolerance_artifact_trials": artifacts,
+        "min_faithful_fraction": least / trials,
+        "graphs_below_threshold": below,
+        "failures": failures,
+        "passed": not failures,
     }
 
 

@@ -13,8 +13,7 @@ from covgraph import (CITriple, GraphKind, MixedGraph, bit, canonical_triples, i
 from covgraph import separation, verify
 from covgraph.closure import _lane_closure
 from covgraph.separation import (UG_READINGS, _dependence_row, _independence_row,
-                                 _independent, _lane_dag_independence_row,
-                                 _lane_dependence_row, _lane_independence_row)
+                                 _independent, _lane_dag_independence_row, _lane_rows)
 from covgraph.smallgraphs import all_ug_lanes, all_ugs, random_ug, random_ug_lanes
 from covgraph.verify import (MAX_FAILURES_KEPT, _closure_check, _describe, _forest_check,
                              _latent_parents, forest_sweep, latent_sweep, theorems_sweep)
@@ -32,8 +31,7 @@ def assert_lanes_match(lanes, graphs):
     the per-graph rows and `saturate(g).row` of `graphs`, in both UG
     readings; lane k's graph and forest bit are graph k's."""
     assert len(lanes.graphs) == len(graphs)
-    rows = {kind: (_lane_independence_row(lanes, kind), _lane_dependence_row(lanes, kind))
-            for kind in UG_READINGS}
+    rows = {kind: _lane_rows(lanes, kind) for kind in UG_READINGS}
     closure = _lane_closure(lanes.adj, rows[COV][0])
     forests = lanes.forests()
     for k, g in enumerate(graphs):
@@ -69,7 +67,7 @@ class TestLaneAgreement:
     def test_empty_batch(self):
         lanes = random_ug_lanes(5, 0, random.Random(0))
         assert lanes.full == 0 and lanes.forests() == 0
-        assert set(_lane_dependence_row(lanes, COV)) == {0}
+        assert set(_lane_rows(lanes, COV)[1]) == {0}
 
 
 class TestSixNodesExhaustive:
@@ -84,6 +82,24 @@ class TestSixNodesExhaustive:
         checked, failing, _violations = _forest_check(all_ug_lanes(6))
         assert checked.bit_count() == 2932
         assert failing == 0
+
+
+@pytest.mark.parametrize("sweep", [lambda: theorems_sweep(4, 0), lambda: forest_sweep(4),
+                                   lambda: latent_sweep(4)],
+                         ids=["theorems", "forest", "latent"])
+def test_each_lane_check_walks_a_family_once(monkeypatch, sweep):
+    """Both rows of a family come from one path walk: a sweep over sizes
+    1-4, one family per size, walks four times."""
+    real = separation._lane_paths
+    sizes = []
+
+    def counted(adj, full):
+        sizes.append(len(adj))
+        return real(adj, full)
+
+    monkeypatch.setattr(separation, "_lane_paths", counted)
+    assert sweep()["passed"]
+    assert sizes == [1, 2, 3, 4]
 
 
 def test_random_sample_runs_in_batches(monkeypatch):
@@ -127,13 +143,15 @@ def test_forest_sweep_records_a_flipped_lane(monkeypatch):
     k = 5  # edge bits A-B and B-C
     g = all_ug_lanes(3).graph(k)
     assert g == MixedGraph.ug("ABC", [("A", "B"), ("B", "C")])
-    real_lanes, real_row = verify._lane_dependence_row, verify._dependence_row
+    real_lanes, real_row = verify._lane_rows, verify._dependence_row
 
     def flip_lane(lanes, kind):
-        row = real_lanes(lanes, kind)
-        return [r ^ 1 << k for r in row] if lanes.n == 3 else row
+        independent, dependent = real_lanes(lanes, kind)
+        if lanes.n == 3:
+            dependent = [r ^ 1 << k for r in dependent]
+        return independent, dependent
 
-    monkeypatch.setattr(verify, "_lane_dependence_row", flip_lane)
+    monkeypatch.setattr(verify, "_lane_rows", flip_lane)
     r = forest_sweep(4)
     assert (r["graphs"], r["triples_checked"], r["passed"]) == (48, 2155, False)
     monkeypatch.setattr(verify, "_dependence_row",
@@ -228,20 +246,20 @@ def test_latent_sweep_records_a_flipped_lane(monkeypatch):
     g = all_ug_lanes(3).graph(k)
     assert g == MixedGraph.ug("ABC", [("A", "B"), ("B", "C")])
     p = canonical_triples(3).index(CITriple(bit(0), bit(2)))
-    real_lanes, real_row = verify._lane_independence_row, verify._independence_row
+    real_lanes, real_row = verify._lane_rows, verify._independence_row
 
     def flip_lane(lanes, kind):
-        row = real_lanes(lanes, kind)
+        independent, dependent = real_lanes(lanes, kind)
         if lanes.n == 3:
-            row[p] ^= 1 << k
-        return row
+            independent[p] ^= 1 << k
+        return independent, dependent
 
     def flip_row(h, kind):
         row = real_row(h, kind)
         row[p] = not row[p]
         return row
 
-    monkeypatch.setattr(verify, "_lane_independence_row", flip_lane)
+    monkeypatch.setattr(verify, "_lane_rows", flip_lane)
     r = latent_sweep(4)
     assert (r["graphs"], r["triples_checked"], r["passed"]) == (75, 3594, False)
     monkeypatch.setattr(verify, "_independence_row", flip_row)
