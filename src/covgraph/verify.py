@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations
-from operator import ne, or_
-from typing import Callable, Iterator
+from operator import ne, or_, xor
+from typing import Iterator
 
 from .closure import MAX_CLOSURE_NODES, RULES, ClosureState, _lane_closure
 from .gaussian import _minors, sample_markov_gaussian, trial_seed
@@ -81,15 +81,18 @@ def verify_latent_equivalence(g: MixedGraph, max_nodes: int = MAX_LATENT_NODES) 
     if g.n > max_nodes:
         raise SizeLimitError(f"equivalence sweep limited to {max_nodes} nodes")
     h = latent_dag(g)
-    independent = _independence_row(g, GraphKind.COVARIANCE)
-    triples = canonical_triples(g.n)
+    criterion = _independence_row(g, GraphKind.COVARIANCE)
     moral: dict = {}
-    violations = [
-        f"{t.render(g.labels)}: criterion={i} latent-dag={not i}"
-        for t, i in zip(triples, independent)
-        if i != _independent(h.dag, GraphKind.DAG, t.x, t.y, t.z, moral)
-    ]
-    return Report(len(triples), violations)
+    latent = [_independent(h.dag, GraphKind.DAG, t.x, t.y, t.z, moral)
+              for t in canonical_triples(g.n)]
+    return Report(len(criterion), _latent_lines(g.labels, criterion, latent))
+
+
+def _latent_lines(labels: tuple[str, ...], cov: list[bool], dag: list[bool]) -> list[str]:
+    """One line per canonical triple where the covariance criterion and
+    d-separation in the latent DAG disagree."""
+    return [f"{t.render(labels)}: criterion={c} latent-dag={d}"
+            for t, c, d in zip(canonical_triples(len(labels)), cov, dag) if c != d]
 
 
 def verify_forest_faithfulness(g: MixedGraph, max_nodes: int = MAX_FOREST_NODES) -> Report:
@@ -100,13 +103,15 @@ def verify_forest_faithfulness(g: MixedGraph, max_nodes: int = MAX_FOREST_NODES)
     if g.n > max_nodes:
         raise SizeLimitError(f"forest sweep limited to {max_nodes} nodes")
     dependent = _dependence_row(g, GraphKind.COVARIANCE)
-    independent = _independence_row(g, GraphKind.COVARIANCE)
-    triples = canonical_triples(g.n)
-    violations = [
-        f"{t.render(g.labels)}: dependent={d} independent={i}"
-        for t, d, i in zip(triples, dependent, independent) if d == i
-    ]
-    return Report(len(triples), violations)
+    refused = [not i for i in _independence_row(g, GraphKind.COVARIANCE)]
+    return Report(len(dependent), _forest_lines(g.labels, dependent, refused))
+
+
+def _forest_lines(labels: tuple[str, ...], dep: list[bool], refused: list[bool]) -> list[str]:
+    """One line per canonical triple where the dependence and independence
+    criteria both read or both refuse."""
+    return [f"{t.render(labels)}: dependent={d} independent={not r}"
+            for t, d, r in zip(canonical_triples(len(labels)), dep, refused) if d != r]
 
 
 @dataclass
@@ -150,17 +155,17 @@ def _criterion_pairs(g: MixedGraph) -> list[bool]:
     return [row[p] for p, _i, _j, _k in _pair_plan(g.n)]
 
 
-def _trials(g: MixedGraph, trials: int, seed: int) -> Iterator[tuple[list[bool], int]]:
+def _trials(g: MixedGraph, expected: list[bool], trials: int, seed: int
+            ) -> Iterator[tuple[list[bool], int]]:
     """For each trial, the determinant verdict on every entry of
     `_pair_plan(g.n)`, in plan order, and the number of them that disagree
-    with the covariance criterion (`_criterion_pairs`).
+    with `expected`, the caller's one read of `_criterion_pairs(g)`.
 
     A verdict reads independence exactly when the minor
     det sigma[{i} | K, {j} | K], taken from the trial's `_minors` table,
     is zero."""
     n = g.n
     cells = [(k, i * n + j) for _p, i, j, k in _pair_plan(n)]
-    expected = _criterion_pairs(g)
     for t in range(trials):
         minors = _minors(sample_markov_gaussian(g, trial_seed(seed, t)))
         row = [not minors[k][ij] for k, ij in cells]
@@ -174,12 +179,12 @@ def faithfulness_report(
 ) -> FaithfulnessReport:
     """Sample `trials` models and compare their exact zero minors against
     the covariance-graph criterion over every (i, j, K) of `_pair_plan`,
-    read by position from the graph's covariance independence row."""
+    read once by position from the graph's covariance independence row."""
     if g.n > MAX_FAITHFULNESS_NODES:
         raise SizeLimitError(
             f"faithfulness sweep limited to {MAX_FAITHFULNESS_NODES} nodes")
     _require_trials(trials)
-    mismatches = [bad for _row, bad in _trials(g, trials, seed)]
+    mismatches = [bad for _row, bad in _trials(g, _criterion_pairs(g), trials, seed)]
     return FaithfulnessReport(g.n, trials, mismatches)
 
 
@@ -212,25 +217,23 @@ def _require_trials(trials: int) -> None:
         raise ValueError("at least one trial required")
 
 
-def _closure_check(lanes: UGLanes) -> tuple[int, int, Callable[[int], list[str]]]:
+def _closure_check(lanes: UGLanes) -> tuple:
     """The rule closure of every graph of `lanes` against the single-path
-    criterion, for `_lane_sweep`: a lane fails when its closure row and
-    its covariance dependence row differ, and its violation lists the
-    missing and the extra statements, each in sorted order.  Both
-    covariance rows come from one `_lane_rows` call."""
+    criterion, for `_lane_sweep`: the lanes checked, the `_lane_closure`
+    row, the certified covariance dependence row and `_closure_lines`.
+    Both covariance rows come from one `_lane_rows` call."""
     independent, certified = _lane_rows(lanes, GraphKind.COVARIANCE)
-    derived = _lane_closure(lanes.adj, independent)
-    wrong = [d ^ c for d, c in zip(derived, certified)]
+    return lanes.full, _lane_closure(lanes.adj, independent), certified, _closure_lines
 
-    def violations(k: int) -> list[str]:
-        labels = default_labels(lanes.n)
-        texts = [(t.render(labels), d >> k & 1)
-                 for t, d, w in zip(canonical_triples(lanes.n), derived, wrong) if w >> k & 1]
-        missing = sorted(text for text, d in texts if not d)
-        extra = sorted(text for text, d in texts if d)
-        return [f"missing={missing} extra={extra}"]
 
-    return lanes.full, reduce(or_, wrong, 0), violations
+def _closure_lines(labels: tuple[str, ...], closure: list[bool], paths: list[bool]) -> list[str]:
+    """One line listing, each in sorted order, the statements the rule
+    closure misses and adds against the single-path criterion."""
+    texts = [(t.render(labels), d)
+             for t, d, c in zip(canonical_triples(len(labels)), closure, paths) if d != c]
+    missing = sorted(text for text, d in texts if not d)
+    extra = sorted(text for text, d in texts if d)
+    return [f"missing={missing} extra={extra}"] if texts else []
 
 
 def theorems_sweep(n_max: int = 5, random_graphs: int = 200, seed: int = 0) -> dict:
@@ -266,24 +269,27 @@ def _lane_sweep(scope: str, n_max: int, limit: int, family, check) -> dict:
     """Run `check` on every lane family of `family(n)`, the graphs of size
     n as `UGLanes` batches, for n = 1..n_max, and gather the violations.
     `check` (`_closure_check`, `_latent_check`, `_forest_check`) returns
-    the mask of the lanes it checks, the mask of those that fail and a
-    function giving a failing lane's violations; messages are kept graph
-    by graph in lane order, as many as `MAX_FAILURES_KEPT`."""
+    the lanes it checks, two lane rows over `canonical_triples(n)` and
+    the function that renders one graph's differences, the one its
+    per-graph check renders with; a lane fails where the rows differ, and
+    messages are kept graph by graph in lane order, as many as
+    `MAX_FAILURES_KEPT`."""
     _require_n_max(scope, n_max, limit)
     failures: list[str] = []
     graphs = 0
     triples = 0
     for n in range(1, n_max + 1):
         for lanes in family(n):
-            checked, failing, violations = check(lanes)
+            checked, left, right, lines = check(lanes)
             count = checked.bit_count()
             graphs += count
-            triples += count * len(canonical_triples(n))
-            for k in iter_nodes(failing):
+            triples += count * len(left)
+            for k in iter_nodes(checked & reduce(or_, map(xor, left, right), 0)):
                 if len(failures) == MAX_FAILURES_KEPT:
                     break
                 described = _describe(lanes.graph(k))
-                for v in violations(k):
+                for v in lines(default_labels(n), [bool(r >> k & 1) for r in left],
+                               [bool(r >> k & 1) for r in right]):
                     _record(failures, f"{described} {v}")
     return {
         "scope": scope,
@@ -312,21 +318,13 @@ def _latent_parents(lanes: UGLanes) -> list[list[int]]:
     return pa
 
 
-def _latent_check(lanes: UGLanes) -> tuple[int, int, Callable[[int], list[str]]]:
+def _latent_check(lanes: UGLanes) -> tuple:
     """`verify_latent_equivalence` on every graph of `lanes`, for
-    `_lane_sweep`: a lane fails on each triple where d-separation in its
-    latent DAG and the covariance criterion disagree.  The criterion row
-    is the independence half of `_lane_rows`."""
+    `_lane_sweep`: the lanes, the independence half of `_lane_rows`, the
+    latent DAGs' d-separation row and `_latent_lines`."""
     criterion, _dependent = _lane_rows(lanes, GraphKind.COVARIANCE)
     latent = _lane_dag_independence_row(_latent_parents(lanes), lanes.full, lanes.n)
-    wrong = [c ^ d for c, d in zip(criterion, latent)]
-
-    def violations(k: int) -> list[str]:
-        labels = default_labels(lanes.n)
-        return [f"{t.render(labels)}: criterion={bool(c >> k & 1)} latent-dag={not c >> k & 1}"
-                for t, c, w in zip(canonical_triples(lanes.n), criterion, wrong) if w >> k & 1]
-
-    return lanes.full, reduce(or_, wrong, 0), violations
+    return lanes.full, criterion, latent, _latent_lines
 
 
 def latent_sweep(n_max: int = 5) -> dict:
@@ -337,23 +335,13 @@ def latent_sweep(n_max: int = 5) -> dict:
                        _latent_check)
 
 
-def _forest_check(lanes: UGLanes) -> tuple[int, int, Callable[[int], list[str]]]:
+def _forest_check(lanes: UGLanes) -> tuple:
     """`verify_forest_faithfulness` on every forest of `lanes`, for
-    `_lane_sweep`: a forest lane fails on each triple its dependence and
-    independence rows, both from one `_lane_rows` call, both read or both
-    refuse.  The forest mask comes from `UGLanes.forests`, a walk of its
-    own, not from the rows it selects lanes to compare."""
-    forests = lanes.forests()
+    `_lane_sweep`: the forest lanes (`UGLanes.forests`, a walk of its
+    own), the dependence row and the refused independence row, both from
+    one `_lane_rows` call, and `_forest_lines`."""
     independent, dependent = _lane_rows(lanes, GraphKind.COVARIANCE)
-    same = [forests & ~(d ^ i) for d, i in zip(dependent, independent)]
-
-    def violations(k: int) -> list[str]:
-        labels = default_labels(lanes.n)
-        return [f"{t.render(labels)}: dependent={bool(d >> k & 1)} independent={bool(i >> k & 1)}"
-                for t, d, i, w in zip(canonical_triples(lanes.n), dependent, independent, same)
-                if w >> k & 1]
-
-    return forests, reduce(or_, same, 0), violations
+    return lanes.forests(), dependent, [lanes.full ^ i for i in independent], _forest_lines
 
 
 def forest_sweep(n_max: int = 6) -> dict:
@@ -421,7 +409,8 @@ def corollaries_sweep(
 
     A faithful trial's row is the criterion's row, so every faithful trial
     of a graph shares one recovery, checked once per graph on
-    `_criterion_pairs(g)`; an unfaithful trial checks its own.  Graph i
+    `_criterion_pairs(g)`, the same read `_trials` counts mismatches
+    against; an unfaithful trial checks its own.  Graph i
     (counting from 0 over all sizes) draws its trials from seed
     `seed + 7919 * i`.
     """
@@ -437,9 +426,10 @@ def corollaries_sweep(
             def recovery_ok(row: list[bool]) -> bool:
                 return _recovery_ok(_recovered(n, row, marginal), _recovered(n, row, full))
 
-            ok = recovery_ok(_criterion_pairs(g))
+            expected = _criterion_pairs(g)
+            ok = recovery_ok(expected)
             faithful = 0
-            for t, (row, bad) in enumerate(_trials(g, trials, seed + 7919 * graphs)):
+            for t, (row, bad) in enumerate(_trials(g, expected, trials, seed + 7919 * graphs)):
                 if bad:
                     artifacts += not recovery_ok(row)
                     continue

@@ -484,7 +484,8 @@ class TestTrialRows:
             for index, g in enumerate(connected_ugs(n)):
                 seed = 7919 * index
                 table = pair_table(g)
-                for t, (row, bad) in enumerate(_trials(g, 5, seed)):
+                expected = [v for _i, _j, _k, v in table]
+                for t, (row, bad) in enumerate(_trials(g, expected, 5, seed)):
                     self._check_trial(g, table, seed, t, row, bad)
 
     @staticmethod
@@ -502,7 +503,7 @@ class TestTrialRows:
         # flipped two dependences, (0, 4, 0b01110) and (0, 4, 0b01010),
         # whose exactly nonzero minors fell under it
         g, seed, table, model = self._artifact_trial()
-        row, bad = list(_trials(g, 24, seed))[23]
+        row, bad = list(_trials(g, [v for _i, _j, _k, v in table], 24, seed))[23]
         assert bad == 0
         assert row == [v for _i, _j, _k, v in table]
         flipped = [(i, j, k) for i, j, k, v in table if ci_test(model, i, j, k) != v]
@@ -524,7 +525,7 @@ class TestTrialRows:
         for index, g in enumerate(graphs):
             seed = 7919 * (44 + index)  # corollaries_sweep's seed for this graph
             table = pair_table(g)
-            (row, _bad), = _trials(g, 1, seed)
+            (row, _bad), = _trials(g, [v for _i, _j, _k, v in table], 1, seed)
             model = sample_markov_gaussian(g, trial_seed(seed, 0))
             assert row == [ci_test(model, i, j, k) for i, j, k, _v in table]
 

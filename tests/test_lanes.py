@@ -74,14 +74,14 @@ class TestSixNodesExhaustive:
     def test_closure_equals_criterion_on_every_ug(self):
         # all 32,768 labeled 6-node UGs
         lanes = all_ug_lanes(6)
-        checked, failing, _violations = _closure_check(lanes)
+        checked, derived, certified, _lines = _closure_check(lanes)
         assert checked == lanes.full and checked.bit_count() == 32768
-        assert failing == 0
+        assert [d & checked for d in derived] == [c & checked for c in certified]
 
     def test_dependence_complements_independence_on_every_forest(self):
-        checked, failing, _violations = _forest_check(all_ug_lanes(6))
+        checked, dependent, refused, _lines = _forest_check(all_ug_lanes(6))
         assert checked.bit_count() == 2932
-        assert failing == 0
+        assert [d & checked for d in dependent] == [r & checked for r in refused]
 
 
 @pytest.mark.parametrize("sweep", [lambda: theorems_sweep(4, 0), lambda: forest_sweep(4),

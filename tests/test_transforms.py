@@ -29,8 +29,16 @@ def cycle4():
     return MixedGraph.ug("ABCD", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
 
 
-def path3():
-    return MixedGraph.ug("ABC", [("A", "B"), ("B", "C")])
+def path3(labels="ABC"):
+    a, b, c = labels
+    return MixedGraph.ug(labels, [(a, b), (b, c)])
+
+
+# the path A - B - C, and the same path labelled u - v - w: labels other
+# than `default_labels(3)`, which the lane sweeps render with; `ends` is
+# X ; Y of the triple A ; C ; - as the graph's own labels render it
+PATHS = pytest.mark.parametrize("labels, ends", [("ABC", "A ; C"), ("uvw", "u ; w")],
+                                ids=["ABC", "uvw"])
 
 
 @pytest.fixture
@@ -127,9 +135,10 @@ class TestLatentEquivalence:
         with pytest.raises(SizeLimitError):
             verify_latent_equivalence(MixedGraph.ug("ABCDEF"))
 
-    def test_reports_a_wrong_table_entry(self, drop_a_c_marginal):
-        report = verify_latent_equivalence(path3())
-        assert report.violations == ["A ; C ; -: criterion=False latent-dag=True"]
+    @PATHS
+    def test_reports_a_wrong_table_entry(self, drop_a_c_marginal, labels, ends):
+        report = verify_latent_equivalence(path3(labels))
+        assert report.violations == [f"{ends} ; -: criterion=False latent-dag=True"]
         assert report.checked == len(canonical_triples(3))
 
 
@@ -175,9 +184,10 @@ class TestForestFaithfulness:
         with pytest.raises(ValueError, match="not a forest"):
             verify_forest_faithfulness(cycle4())
 
-    def test_reports_a_wrong_table_entry(self, drop_a_c_marginal):
-        report = verify_forest_faithfulness(path3())
-        assert report.violations == ["A ; C ; -: dependent=False independent=False"]
+    @PATHS
+    def test_reports_a_wrong_table_entry(self, drop_a_c_marginal, labels, ends):
+        report = verify_forest_faithfulness(path3(labels))
+        assert report.violations == [f"{ends} ; -: dependent=False independent=False"]
         assert report.checked == len(canonical_triples(3))
 
 
