@@ -250,9 +250,8 @@ def _cmd_latent(args) -> int:
     return EXIT_HOLDS
 
 
-def _add_common(sub, graph=True, sets=False):
-    if graph:
-        sub.add_argument("-g", "--graph", required=True, help="graph file path")
+def _add_common(sub, sets=False):
+    sub.add_argument("-g", "--graph", required=True, help="graph file path")
     if sets:
         for flag in ("-X", "-Y", "-Z"):
             sub.add_argument(flag, default="",

@@ -180,9 +180,10 @@ def _reach_table(adj: tuple[NodeSet, ...]) -> tuple[NodeSet, ...]:
     `reachable` pass per component of each s; the component masks are
     then folded over the subsets of s in increasing order.
 
-    Memoized on the adjacency tuple for the last graph: the sweeps read a
-    graph's independence and dependence rows back to back, so both read
-    one table, a tuple because every caller shares it."""
+    Memoized on the adjacency tuple for the last graph, a tuple because
+    every caller shares it: `verify_forest_faithfulness`, and `saturate`
+    followed by `all_dependencies`, read one graph's independence and
+    dependence rows back to back from one table."""
     n = len(adj)
     reach = [0] * (1 << 2 * n)
     for s in range(1, 1 << n):
@@ -477,47 +478,22 @@ def _lane_rows(lanes, kind: GraphKind) -> tuple[list[int], list[int]]:
     return independent, dependent
 
 
-def _lane_reach(links: Sequence[Sequence[tuple[int, int]]], seed: Sequence[int],
-                avoid: NodeSet = 0) -> list[int]:
+def _lane_reach(links: Sequence[Sequence[tuple[int, int]]], seed: Sequence[int]) -> list[int]:
     """For each node, the lanes in which steps along `links` reach it
     from the seed: node v starts reached in the lanes `seed[v]`, and
     `links[v]` lists each step (w, lanes) out of v with the lanes that
-    hold it; no step enters a node of `avoid`.  Each pushed step carries
-    only the lanes new to its end, so every lane of every node is pushed
-    at most once."""
+    hold it.  Each pushed step carries only the lanes new to its end, so
+    every lane of every node is pushed at most once."""
     reach = list(seed)
     stack = [(v, lanes) for v, lanes in enumerate(seed) if lanes]
     while stack:
         v, new = stack.pop()
         for w, lanes in links[v]:
             add = new & lanes & ~reach[w]
-            if add and not avoid >> w & 1:
+            if add:
                 reach[w] |= add
                 stack.append((w, add))
     return reach
-
-
-def _lane_moral_links(parents: Sequence[Sequence[tuple[int, int]]], full: int,
-                      inside: NodeSet) -> list[list[tuple[int, int]]]:
-    """The moral graph of the ancestral set of `inside` in every lane of a
-    lane DAG, as `_lane_reach` links; `parents[v]` lists each (u, lanes
-    with the arrow u -> v).  The ancestral lanes of each node come from
-    the nodes of `inside` by parent steps; each child-parent arrow, and
-    each pair of parents of one child, is an edge in the child's
-    ancestral lanes."""
-    size = len(parents)
-    anc = _lane_reach(parents, [full if inside >> v & 1 else 0 for v in range(size)])
-    moral = [[0] * size for _ in range(size)]
-    for c in range(size):
-        held = [(p, anc[c] & lanes) for p, lanes in parents[c] if anc[c] & lanes]
-        for i, (p, lanes) in enumerate(held):
-            moral[c][p] |= lanes
-            moral[p][c] |= lanes
-            for q, other in held[:i]:
-                both = lanes & other
-                moral[p][q] |= both
-                moral[q][p] |= both
-    return [[(w, lanes) for w, lanes in enumerate(row) if lanes] for row in moral]
 
 
 def _lane_dag_independence_row(pa: Sequence[Sequence[int]], full: int, n: int) -> list[int]:
@@ -526,22 +502,34 @@ def _lane_dag_independence_row(pa: Sequence[Sequence[int]], full: int, n: int) -
     `canonical_triples(n)` are d-separated given Z.  `pa[v][u]` holds the
     lanes with the arrow u -> v; the DAG may have more nodes than n.
 
-    The steps of `_independent`'s DAG branch, on lanes: the moral graph
-    of the ancestral set of X|Y|Z (`_lane_moral_links`, cached per union
-    as `_independent`'s `moral` dict caches it), then a reach from X that
-    avoids Z."""
-    parents = [[(u, lanes) for u, lanes in enumerate(row) if lanes] for row in pa]
-    moral: dict[NodeSet, list[list[tuple[int, int]]]] = {}
+    One Bayes-ball reach per (X, Z) (Shachter 1998, "Bayes-Ball: The
+    Rational Pastime"), over two states per node: 2v when the ball came
+    to v from a child, 2v + 1 when it came from a parent.
+    - v outside Z, from a child: on to its parents and its children;
+    - v outside Z, from a parent: on to its children only;
+    - v in Z, from a child: stopped;
+    - v in Z, from a parent: bounced back to its parents.
+    The ball starts at every x in X, as though from a child, and X and Y
+    are d-separated in the lanes where it reaches no node of Y.  The
+    bounce at Z covers a collider with a descendant in Z, so there is no
+    ancestral pass and no moral graph."""
     size = len(pa)
+    # up[v], down[v]: the steps from v to each parent u's state 2u and each child c's 2c + 1
+    up = [[(2 * u, lanes) for u, lanes in enumerate(row) if lanes] for row in pa]
+    down = [[(2 * c + 1, pa[c][v]) for c in range(size) if pa[c][v]] for v in range(size)]
+    links = [[step for v in range(size)
+              for step in (((), up[v]) if z >> v & 1 else (up[v] + down[v], down[v]))]
+             for z in range(1 << n)]
+    met: dict[tuple[NodeSet, NodeSet], list[int]] = {}
     row = []
     for t in canonical_triples(n):
-        inside = t.x | t.y | t.z
-        links = moral.get(inside)
-        if links is None:
-            links = moral[inside] = _lane_moral_links(parents, full, inside)
-        reach = _lane_reach(links, [full if t.x >> v & 1 else 0 for v in range(size)], t.z)
+        both = met.get((t.x, t.z))
+        if both is None:
+            seed = [full if not s & 1 and t.x >> (s >> 1) & 1 else 0 for s in range(2 * size)]
+            reach = _lane_reach(links[t.z], seed)
+            both = met[t.x, t.z] = [reach[2 * v] | reach[2 * v + 1] for v in range(n)]
         joined = 0
         for y in iter_nodes(t.y):
-            joined |= reach[y]
+            joined |= both[y]
         row.append(full ^ joined)
     return row

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -64,9 +65,9 @@ class UGLanes:
     graphs: Sequence[int]
     adj: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def full(self) -> int:
-        """The mask of every lane."""
+        """The mask of every lane, built once per family."""
         return (1 << len(self.graphs)) - 1
 
     def graph(self, k: int) -> MixedGraph:

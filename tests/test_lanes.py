@@ -15,8 +15,9 @@ from covgraph.closure import _lane_closure
 from covgraph.separation import (UG_READINGS, _dependence_row, _independence_row,
                                  _independent, _lane_dag_independence_row, _lane_rows)
 from covgraph.smallgraphs import all_ug_lanes, all_ugs, random_ug, random_ug_lanes
-from covgraph.verify import (MAX_FAILURES_KEPT, _closure_check, _describe, _forest_check,
-                             _latent_parents, forest_sweep, latent_sweep, theorems_sweep)
+from covgraph.verify import (MAX_FAILURES_KEPT, MAX_LATENT_NODES, _closure_check, _describe,
+                             _forest_check, _latent_check, _latent_parents, forest_sweep,
+                             latent_sweep, theorems_sweep)
 
 COV = GraphKind.COVARIANCE
 
@@ -63,6 +64,10 @@ class TestLaneAgreement:
             assert [lanes.graph(k) for k in range(count)] == \
                 [random_ug(n, rng) for _ in range(count)]
         assert lane_rng.getrandbits(64) == rng.getrandbits(64)
+
+    def test_full_mask_is_built_once_per_family(self):
+        lanes = all_ug_lanes(4)
+        assert lanes.full is lanes.full
 
     def test_empty_batch(self):
         lanes = random_ug_lanes(5, 0, random.Random(0))
@@ -227,6 +232,16 @@ class TestLaneDagRow:
             got = {(u, v) for v, row in enumerate(pa) for u, lanes in enumerate(row)
                    if lanes >> k & 1}
             assert got == want, g
+
+    @pytest.mark.parametrize("n, count", [(6, 2048), (7, 512)])
+    def test_latent_equivalence_past_the_sweep_sizes(self, n, count):
+        # `latent_sweep` stops at MAX_LATENT_NODES; random families of the
+        # next two sizes, with 21- and 28-node lane DAGs, agree as well
+        assert n > MAX_LATENT_NODES
+        lanes = random_ug_lanes(n, count, random.Random(2032 + n))
+        checked, criterion, latent, _lines = _latent_check(lanes)
+        assert checked == lanes.full and checked.bit_count() == count
+        assert [c & checked for c in criterion] == [d & checked for d in latent]
 
     def test_sweep_makes_no_per_triple_call(self, monkeypatch):
         def refuse(*args):
