@@ -73,42 +73,36 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _cmd_indep(args) -> int:
+def _query(args, decide):
+    """The graph, `decide(g, kind, x, y, z)` and the payload keys that
+    `indep` and `dep` share, from --graph, --kind and -X/-Y/-Z."""
     g = _load_graph(args.graph)
     kind = GraphKind(args.kind)
     x, y, z = _resolve(g, args)
-    verdict = ci_independent(g, kind, x, y, z)
-    payload = {
-        "command": "indep",
+    answer = decide(g, kind, x, y, z)
+    return g, answer, {
+        "command": args.command,
         "kind": kind.value,
         "x": _label_list(g, x),
         "y": _label_list(g, y),
         "z": _label_list(g, z),
-        "independent": verdict,
     }
+
+
+def _cmd_indep(args) -> int:
+    _g, verdict, payload = _query(args, ci_independent)
+    payload["independent"] = verdict
     _emit(args, payload, "INDEPENDENT" if verdict else "NOT-INDEPENDENT")
     return EXIT_HOLDS if verdict else EXIT_DOES_NOT_HOLD
 
 
 def _cmd_dep(args) -> int:
-    g = _load_graph(args.graph)
-    kind = GraphKind(args.kind)
-    x, y, z = _resolve(g, args)
-    witness = dependence_witness(g, kind, x, y, z)
-    payload = {
-        "command": "dep",
-        "kind": kind.value,
-        "x": _label_list(g, x),
-        "y": _label_list(g, y),
-        "z": _label_list(g, z),
-        "dependent": witness is not None,
-        "witness": [g.labels[v] for v in witness.nodes] if witness else None,
-    }
-    if witness is not None:
-        _emit(args, payload, f"DEPENDENT, witness {witness.render(g.labels)}")
-        return EXIT_HOLDS
-    _emit(args, payload, "NOT-DEPENDENT")
-    return EXIT_DOES_NOT_HOLD
+    g, witness, payload = _query(args, dependence_witness)
+    payload["dependent"] = witness is not None
+    payload["witness"] = [g.labels[v] for v in witness.nodes] if witness else None
+    _emit(args, payload,
+          f"DEPENDENT, witness {witness.render(g.labels)}" if witness else "NOT-DEPENDENT")
+    return EXIT_HOLDS if witness else EXIT_DOES_NOT_HOLD
 
 
 def _cmd_closure(args) -> int:

@@ -206,12 +206,10 @@ def _reach_table(adj: tuple[NodeSet, ...]) -> tuple[NodeSet, ...]:
 
 @lru_cache(maxsize=None)
 def _independence_plan(n: int, kind: GraphKind) -> tuple[tuple[int, NodeSet], ...]:
-    """(reach index, Y) for each triple of `canonical_triples(n)` under a
-    UG reading.  The index is `(X|Y|through) << n | X`: `(X|Y|Z) << n | X`
-    for covariance and `(V minus Z) << n | X` for concentration."""
-    full = (1 << n) - 1
-    return tuple(((t.x | t.y | through(full, kind, t.x, t.y, t.z)) << n | t.x, t.y)
-                 for t in canonical_triples(n))
+    """(reach index, Y) for each entry (through, X, Y) of `_dependence_plan`:
+    the index is `(X|Y|through) << n | X`, that is `(X|Y|Z) << n | X` for
+    covariance and `(V minus Z) << n | X` for concentration."""
+    return tuple(((x | y | via) << n | x, y) for via, x, y in _dependence_plan(n, kind))
 
 
 def _independence_row(g: MixedGraph, kind: GraphKind) -> list[bool]:

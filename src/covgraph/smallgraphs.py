@@ -6,11 +6,12 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterator, Sequence
 
-from .graphs import MixedGraph, bit, connectivity_components, is_forest, iter_nodes
+from .graphs import MixedGraph, connectivity_components, iter_nodes
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -48,9 +49,9 @@ def connected_ugs(n: int) -> Iterator[MixedGraph]:
 
 
 def all_forests(n: int) -> Iterator[MixedGraph]:
-    for g in all_ugs(n):
-        if is_forest(g):
-            yield g
+    """The forests among `all_ugs(n)`, in its order."""
+    lanes = all_ug_lanes(n)
+    return map(lanes.graph, iter_nodes(lanes.forests()))
 
 
 @dataclass(frozen=True)
@@ -75,25 +76,22 @@ class UGLanes:
         return _from_edge_bits(self.n, list(combinations(range(self.n), 2)), self.graphs[k])
 
     def forests(self) -> int:
-        """The lanes whose graph is a forest: every lane minus those
-        holding a cycle of K_n.  Each cycle is walked from its least node
-        s over larger nodes, and closes from any node at least two steps
-        from s that is joined back to s."""
-        n, adj = self.n, self.adj
-        cyclic = 0
-        for s in range(n):
-            # (end node, lanes holding the path so far, nodes it may
-            # still visit, its edge count)
-            stack = [(s, self.full, ((1 << n) - 1) & -(2 << s), 0)]
-            while stack:
-                v, lanes, left, steps = stack.pop()
-                if steps >= 2:
-                    cyclic |= lanes & adj[v][s]
-                for u in iter_nodes(left):
-                    step = lanes & adj[v][u]
-                    if step:
-                        stack.append((u, step, left ^ bit(u), steps + 1))
-        return self.full & ~cyclic
+        """The lanes whose graph is a forest, that is, has an empty 2-core (Seidman
+        1983, "Network structure and minimum degree").  Each round peels every node
+        from the lanes where it keeps fewer than two neighbours, counted in two bits
+        per lane that saturate at two.  A forest minus any nodes is a forest with a
+        node of at most one neighbour, peeled in the round that visits it, so n rounds
+        empty every forest lane; a node on a cycle keeps both cycle neighbours."""
+        left = [self.full] * self.n
+        for _ in range(self.n):
+            for v, row in enumerate(self.adj):
+                ones = twos = 0
+                for lanes, edge in zip(left, row):
+                    step = lanes & edge
+                    twos |= ones & step
+                    ones |= step
+                left[v] &= twos
+        return self.full & ~reduce(or_, left, 0)
 
 
 def _ug_lanes(n: int, graphs: Sequence[int], edges: list[int]) -> UGLanes:

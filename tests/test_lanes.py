@@ -14,7 +14,7 @@ from covgraph import separation, verify
 from covgraph.closure import _lane_closure
 from covgraph.separation import (UG_READINGS, _dependence_row, _independence_row,
                                  _independent, _lane_dag_independence_row, _lane_rows)
-from covgraph.smallgraphs import all_ug_lanes, all_ugs, random_ug, random_ug_lanes
+from covgraph.smallgraphs import all_forests, all_ug_lanes, all_ugs, random_ug, random_ug_lanes
 from covgraph.verify import (MAX_FAILURES_KEPT, MAX_LATENT_NODES, _closure_check, _describe,
                              _forest_check, _latent_check, _latent_parents, forest_sweep,
                              latent_sweep, theorems_sweep)
@@ -87,6 +87,19 @@ class TestSixNodesExhaustive:
         checked, dependent, refused, _lines = _forest_check(all_ug_lanes(6))
         assert checked.bit_count() == 2932
         assert [d & checked for d in dependent] == [r & checked for r in refused]
+
+
+class TestForestLanes:
+    @pytest.mark.parametrize("n, count", [(7, 4096), (8, 2048)])
+    def test_random_batch_against_is_forest(self, n, count):
+        lanes = random_ug_lanes(n, count, random.Random(3300 + n))
+        forests = lanes.forests()
+        assert [bool(forests >> k & 1) for k in range(count)] == \
+            [is_forest(lanes.graph(k)) for k in range(count)]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_all_forests_are_the_forests_of_all_ugs_in_order(self, n):
+        assert list(all_forests(n)) == [g for g in all_ugs(n) if is_forest(g)]
 
 
 @pytest.mark.parametrize("sweep", [lambda: theorems_sweep(4, 0), lambda: forest_sweep(4),
