@@ -264,12 +264,11 @@ def _lane_closure(adj: Sequence[Sequence[int]], indep: list[int]) -> list[int]:
     `adj` is the family's lane adjacency and `indep` its lane covariance
     independence row.  The fixpoint sweeps the same `_sites(n)`, each of
     `saturate`'s tests becoming a mask of lanes: a rule adds its target in
-    the lanes where its antecedents hold.  It records no derivations."""
+    the lanes where its antecedents hold.  It records no derivations.  Its
+    base is canonical order's opening block, {i} ; {j} ; ∅ in pair order."""
     n = len(adj)
-    positions = _positions(n)
-    est = [0] * len(indep)
-    for i, j in combinations(range(n), 2):
-        est[positions[bit(i) | bit(j) << n]] = adj[i][j]
+    est = [adj[i][j] for i, j in combinations(range(n), 2)]
+    est += [0] * (len(indep) - len(est))
     set_sites, node_sites = _sites(n)
     before = None
     while est != before:

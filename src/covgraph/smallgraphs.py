@@ -32,14 +32,10 @@ def all_ugs(n: int) -> Iterator[MixedGraph]:
         yield _from_edge_bits(n, pairs, bits)
 
 
-def _random_edge_bits(pairs: list[tuple[int, int]], rng: random.Random) -> int:
-    return rng.getrandbits(len(pairs)) if pairs else 0
-
-
 def random_ug(n: int, rng: random.Random) -> MixedGraph:
     """One labeled undirected graph drawn uniformly."""
     pairs = list(combinations(range(n), 2))
-    return _from_edge_bits(n, pairs, _random_edge_bits(pairs, rng))
+    return _from_edge_bits(n, pairs, rng.getrandbits(len(pairs)))
 
 
 def connected_ugs(n: int) -> Iterator[MixedGraph]:
@@ -104,22 +100,21 @@ def _ug_lanes(n: int, graphs: Sequence[int], edges: list[int]) -> UGLanes:
 
 
 def all_ug_lanes(n: int) -> UGLanes:
-    """`all_ugs(n)` as lanes: lane k holds graph k, so the lanes holding
-    pair e repeat 2**e clear lanes, then 2**e set ones."""
-    m = n * (n - 1) // 2
-    full = (1 << (1 << m)) - 1
-    edges = []
-    for e in range(m):
+    """`all_ugs(n)` as lanes: lane k holds graph k.  The masks double once
+    per pair e: lanes 2**e..2**(e+1) - 1 repeat lanes 0..2**e - 1, and
+    only the repeat holds pair e."""
+    edges: list[int] = []
+    for e in range(n * (n - 1) // 2):
         half = 1 << e
-        edges.append((((1 << half) - 1) << half) * (full // ((1 << 2 * half) - 1)))
-    return _ug_lanes(n, range(1 << m), edges)
+        edges = [lanes | lanes << half for lanes in edges] + [((1 << half) - 1) << half]
+    return _ug_lanes(n, range(1 << len(edges)), edges)
 
 
 def random_ug_lanes(n: int, count: int, rng: random.Random) -> UGLanes:
     """The graphs that `count` calls of `random_ug(n, rng)` would draw,
     as lanes in draw order."""
     pairs = list(combinations(range(n), 2))
-    graphs = [_random_edge_bits(pairs, rng) for _ in range(count)]
+    graphs = [rng.getrandbits(len(pairs)) for _ in range(count)]
     # each pair's lane mask as a binary numeral, lane k its k-th digit
     # from the right
     edges = [int("".join("01"[bits >> e & 1] for bits in reversed(graphs)) or "0", 2)

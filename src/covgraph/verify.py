@@ -142,7 +142,10 @@ class FaithfulnessReport:
 def _pair_plan(n: int) -> tuple[tuple[int, int, int, NodeSet], ...]:
     """(position, i, j, K) of each pair triple of `canonical_triples(n)`,
     the triples {i} ; {j} ; K whose X and Y are single nodes, in order:
-    the entries a model's determinant tests are compared against."""
+    the entries a model's determinant tests are compared against.
+    Canonical order sorts by size first, so the first C(n, 2) entries are
+    {i} ; {j} ; ∅ and the last C(n, 2) are {i} ; {j} ; V∖{i, j}, each
+    block in `combinations(range(n), 2)` order."""
     return tuple((p, t.x.bit_length() - 1, t.y.bit_length() - 1, t.z)
                  for p, t in enumerate(canonical_triples(n))
                  if t.x.bit_count() == t.y.bit_count() == 1)
@@ -351,26 +354,20 @@ def forest_sweep(n_max: int = 6) -> dict:
                        _forest_check)
 
 
-@lru_cache(maxsize=None)
-def _entries_given(n: int, given: NodeSet) -> tuple[tuple[int, int, int], ...]:
-    """(plan index, i, j) of each entry of `_pair_plan(n)` whose K is
-    `given` minus i, j."""
-    return tuple((q, i, j) for q, (_p, i, j, k) in enumerate(_pair_plan(n))
-                 if k == given & ~bit(i) & ~bit(j))
-
-
-def _recovered(n: int, row: list[bool], entries: tuple[tuple[int, int, int], ...]
-               ) -> list[NodeSet]:
-    """Adjacency masks joining each pair i, j of `entries` that the trial
-    row reads dependent: on `_entries_given(n, 0)` the trial model's
-    `covariance_graph_of`, on `_entries_given(n, full mask)` its
-    `concentration_graph_of`."""
-    adj = [0] * n
-    for q, i, j in entries:
-        if not row[q]:
-            adj[i] |= bit(j)
-            adj[j] |= bit(i)
-    return adj
+def _recovered(n: int, row: list[bool]) -> tuple[list[NodeSet], list[NodeSet]]:
+    """The adjacency masks of the trial model's `covariance_graph_of` and
+    `concentration_graph_of`, read from its row over `_pair_plan(n)`:
+    pair q of `combinations(range(n), 2)` is joined where the row reads
+    dependent at entry q, the K = ∅ block, and at entry
+    len(row) - C(n, 2) + q, the K = V∖{i, j} block."""
+    cov, conc = [0] * n, [0] * n
+    last = len(row) - n * (n - 1) // 2
+    for q, (i, j) in enumerate(combinations(range(n), 2)):
+        for adj, p in (cov, q), (conc, last + q):
+            if not row[p]:
+                adj[i] |= bit(j)
+                adj[j] |= bit(i)
+    return cov, conc
 
 
 def _recovery_ok(cov: list[NodeSet], conc: list[NodeSet]) -> bool:
@@ -421,17 +418,12 @@ def corollaries_sweep(
     least = trials
     for n in range(1, n_max + 1):
         for g in connected_ugs(n):
-            marginal, full = _entries_given(n, 0), _entries_given(n, g.full_mask)
-
-            def recovery_ok(row: list[bool]) -> bool:
-                return _recovery_ok(_recovered(n, row, marginal), _recovered(n, row, full))
-
             expected = _criterion_pairs(g)
-            ok = recovery_ok(expected)
+            ok = _recovery_ok(*_recovered(n, expected))
             faithful = 0
             for t, (row, bad) in enumerate(_trials(g, expected, trials, seed + 7919 * graphs)):
                 if bad:
-                    artifacts += not recovery_ok(row)
+                    artifacts += not _recovery_ok(*_recovered(n, row))
                     continue
                 faithful += 1
                 if not ok:

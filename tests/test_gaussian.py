@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covgraph import (
+    CITriple,
     DEFAULT_TOL,
     GaussianModel,
     GraphKind,
@@ -38,8 +39,8 @@ from covgraph import (
 )
 from covgraph.gaussian import _leading_minors, _minors
 from covgraph.separation import _dependence_row, _independence_row
-from covgraph.verify import (MAX_FAILURES_KEPT, _entries_given, _pair_plan, _recovered,
-                             _recovery_ok, _trials, corollaries_sweep)
+from covgraph.verify import (MAX_FAILURES_KEPT, _pair_plan, _recovered, _recovery_ok,
+                             _trials, corollaries_sweep)
 from covgraph.smallgraphs import all_ugs, connected_ugs, random_ug
 from oracles import det_cofactor, inverse_adjugate
 from strategies import complete_graph_model
@@ -402,6 +403,20 @@ class TestPairVerdicts:
             assert [(bit(i), bit(j), k) for _p, i, j, k in _pair_plan(n)] == \
                 [(triples[p].x, triples[p].y, triples[p].z) for p, *_ in _pair_plan(n)]
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_pair_blocks_open_and_close_canonical_order(self, n):
+        # sorted by size first: the edge statements {i} ; {j} ; - open
+        # canonical order, and {i} ; {j} ; V minus i, j close the plan,
+        # each block in pair order
+        pairs = list(combinations(range(n), 2))
+        m = len(pairs)
+        full = (1 << n) - 1
+        plan = _pair_plan(n)
+        assert canonical_triples(n)[:m] == tuple(CITriple(bit(i), bit(j), 0) for i, j in pairs)
+        assert plan[:m] == tuple((q, i, j, 0) for q, (i, j) in enumerate(pairs))
+        assert [(i, j, k) for _p, i, j, k in plan[len(plan) - m:]] == \
+            [(i, j, full & ~bit(i) & ~bit(j)) for i, j in pairs]
+
 
 class TestPairVerdictsReachTable:
     def test_answers_without_the_per_triple_kernel(self, monkeypatch):
@@ -464,8 +479,7 @@ class TestTrialRows:
 
     @staticmethod
     def _check_recovery(g, row, cov_graph, conc_graph):
-        cov = _recovered(g.n, row, _entries_given(g.n, 0))
-        conc = _recovered(g.n, row, _entries_given(g.n, g.full_mask))
+        cov, conc = _recovered(g.n, row)
         assert (cov, conc) == (list(cov_graph.und_adj), list(conc_graph.und_adj))
         ok = _recovery_ok(cov, conc)
         assert ok == reference_recovery_ok(cov_graph, conc_graph)
@@ -539,8 +553,11 @@ class TestTrialRows:
             g = random_ug(rng.randint(2, 5), rng)
             table = pair_table(g)
             row = [rng.random() < 0.5 for _ in table]
+            # the reference selects by K, not by block: the plan entries
+            # whose K is `given` minus i, j
             graphs = [MixedGraph(g.n, g.labels, frozenset(
-                (i, j) for p, i, j in _entries_given(g.n, given) if not row[p]))
+                (i, j) for q, (_p, i, j, k) in enumerate(_pair_plan(g.n))
+                if k == given & ~bit(i) & ~bit(j) and not row[q]))
                 for given in (0, g.full_mask)]
             same_components = len({tuple(connectivity_components(h)) for h in graphs}) == 1
             outcomes.add((same_components, self._check_recovery(g, row, *graphs)))

@@ -65,6 +65,15 @@ class TestLaneAgreement:
                 [random_ug(n, rng) for _ in range(count)]
         assert lane_rng.getrandbits(64) == rng.getrandbits(64)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_draws_without_pairs_leave_the_generator_untouched(self, n):
+        rng = random.Random(11)
+        state = rng.getstate()
+        assert random_ug(n, rng).undirected == frozenset()
+        assert rng.getstate() == state
+        lanes = random_ug_lanes(n, 5, rng)
+        assert list(lanes.graphs) == [0] * 5 and rng.getstate() == state
+
     def test_full_mask_is_built_once_per_family(self):
         lanes = all_ug_lanes(4)
         assert lanes.full is lanes.full
@@ -100,6 +109,18 @@ class TestForestLanes:
     @pytest.mark.parametrize("n", range(7))
     def test_all_forests_are_the_forests_of_all_ugs_in_order(self, n):
         assert list(all_forests(n)) == [g for g in all_ugs(n) if is_forest(g)]
+
+    def test_every_seven_node_ug_as_lanes(self):
+        # lane k holds pair e exactly when bit e of k is set, checked on
+        # 2,000 seeded lanes of the 2,097,152; the labeled forests on 7
+        # nodes number 36,961 (OEIS A001858)
+        lanes = all_ug_lanes(7)
+        # each pair's mask as bytes, so reading one lane copies no mask
+        masks = [lanes.adj[u][v].to_bytes(1 << 18, "little") for u, v in combinations(range(7), 2)]
+        rng = random.Random(3407)
+        for k in (rng.randrange(1 << 21) for _ in range(2000)):
+            assert [m[k >> 3] >> (k & 7) & 1 for m in masks] == [k >> e & 1 for e in range(21)], k
+        assert lanes.forests().bit_count() == 36_961
 
 
 @pytest.mark.parametrize("sweep", [lambda: theorems_sweep(4, 0), lambda: forest_sweep(4),
