@@ -8,10 +8,14 @@ exactly on the non-edges.  Conditional independence i | j given K holds
 iff det(sigma[{i} | K, {j} | K]) vanishes.
 
 Every verdict is exact, on the integer matrix S = sigma * 2**shift the
-model keeps.  One fraction-free elimination (`_leading_minors`)
-certifies positive definiteness and decides each `ci_test` by an exact
-zero; the sweeps read every minor of a trial from one table built on S
-by the same identity (`_minors`).  No float arithmetic decides a verdict.
+model keeps.  Positive definiteness is certified first by strict
+diagonal dominance with a positive diagonal (Levy-Desplanques, a
+corollary of Gershgorin's circle theorem), an O(n**2) integer test that
+every sampled model passes; a matrix that fails it goes to one
+fraction-free elimination (`_leading_minors`), which also decides each
+`ci_test` by an exact zero.  The sweeps read every minor of a trial from
+one table built on S by the same identity (`_minors`).  No float
+arithmetic decides a verdict.
 """
 
 from __future__ import annotations
@@ -63,9 +67,13 @@ class GaussianModel:
     and, exactly, positive definiteness.
 
     Every float is dyadic, so S = sigma * 2**shift is an integer matrix.
-    The model keeps shift and S, row by row in one flat tuple, and sigma
-    is positive definite iff every leading principal minor of S is
-    positive (Sylvester's criterion).
+    The model keeps shift and S, row by row in one flat tuple.  Sigma is
+    positive definite when every row of S has 2 * S[r][r] > sum(|S[r]|),
+    strict diagonal dominance with a positive diagonal (Levy-Desplanques);
+    otherwise it is positive definite iff every leading principal minor
+    of S is positive (Sylvester's criterion), by one Bareiss elimination.
+    The first test is sufficient and the second exact, so together they
+    accept exactly the positive definite matrices.
     """
 
     mean: tuple[float, ...]
@@ -89,8 +97,9 @@ class GaussianModel:
             raise ValueError("sigma must be positive definite") from None
         shift = max([q for _p, q in ratios], default=1).bit_length() - 1
         scaled = tuple([p << (shift + 1 - q.bit_length()) for p, q in ratios])
-        if not all(m > 0 for m in _leading_minors([scaled[r * n:(r + 1) * n]
-                                                   for r in range(n)])):
+        rows = [scaled[r * n:(r + 1) * n] for r in range(n)]
+        if not (all(2 * row[r] > sum(map(abs, row)) for r, row in enumerate(rows))
+                or all(m > 0 for m in _leading_minors(rows))):
             raise ValueError("sigma must be positive definite")
         object.__setattr__(self, "_shift", shift)
         object.__setattr__(self, "_scaled", scaled)

@@ -6,12 +6,12 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from operator import or_
+from operator import and_, or_
 from typing import Iterator, Sequence
 
-from .graphs import MixedGraph, connectivity_components, iter_nodes
+from .graphs import MixedGraph, iter_nodes
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -20,28 +20,33 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(string.ascii_uppercase[:n])
 
 
-def _from_edge_bits(n: int, pairs: list[tuple[int, int]], bits: int) -> MixedGraph:
-    edges = frozenset(p for k, p in enumerate(pairs) if (bits >> k) & 1)
+@lru_cache(maxsize=None)
+def node_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """`combinations(range(n), 2)`, built once per size: pair e is edge
+    bit e of every graph code here."""
+    return tuple(combinations(range(n), 2))
+
+
+def _from_edge_bits(n: int, bits: int) -> MixedGraph:
+    edges = frozenset(p for k, p in enumerate(node_pairs(n)) if (bits >> k) & 1)
     return MixedGraph(n, default_labels(n), edges, frozenset())
 
 
 def all_ugs(n: int) -> Iterator[MixedGraph]:
     """Every labeled undirected graph on n nodes."""
-    pairs = list(combinations(range(n), 2))
-    for bits in range(1 << len(pairs)):
-        yield _from_edge_bits(n, pairs, bits)
+    for bits in range(1 << len(node_pairs(n))):
+        yield _from_edge_bits(n, bits)
 
 
 def random_ug(n: int, rng: random.Random) -> MixedGraph:
     """One labeled undirected graph drawn uniformly."""
-    pairs = list(combinations(range(n), 2))
-    return _from_edge_bits(n, pairs, rng.getrandbits(len(pairs)))
+    return _from_edge_bits(n, rng.getrandbits(len(node_pairs(n))))
 
 
 def connected_ugs(n: int) -> Iterator[MixedGraph]:
-    for g in all_ugs(n):
-        if len(connectivity_components(g)) == 1:
-            yield g
+    """The connected graphs among `all_ugs(n)`, in its order."""
+    lanes = all_ug_lanes(n)
+    return map(lanes.graph, iter_nodes(lanes.connected()))
 
 
 def all_forests(n: int) -> Iterator[MixedGraph]:
@@ -69,7 +74,22 @@ class UGLanes:
 
     def graph(self, k: int) -> MixedGraph:
         """The graph of lane k."""
-        return _from_edge_bits(self.n, list(combinations(range(self.n), 2)), self.graphs[k])
+        return _from_edge_bits(self.n, self.graphs[k])
+
+    def connected(self) -> int:
+        """The lanes whose graph is connected.  Node 0's reach grows along
+        every edge for n - 1 rounds; a shortest path has at most n - 1
+        edges, and each round extends the reach by at least one step of
+        it.  A lane is connected where its reach holds every node.  With
+        no nodes there is no reach and no lane: `connected_ugs(0)` is empty."""
+        if not self.n:
+            return 0
+        reach = [self.full] + [0] * (self.n - 1)
+        for _ in range(self.n - 1):
+            for u, row in enumerate(self.adj):
+                for v, edge in enumerate(row):
+                    reach[v] |= reach[u] & edge
+        return reduce(and_, reach)
 
     def forests(self) -> int:
         """The lanes whose graph is a forest, that is, has an empty 2-core (Seidman
@@ -92,9 +112,9 @@ class UGLanes:
 
 def _ug_lanes(n: int, graphs: Sequence[int], edges: list[int]) -> UGLanes:
     """The family `graphs`, given the lane mask of each pair of
-    `combinations(range(n), 2)`."""
+    `node_pairs(n)`."""
     adj = [[0] * n for _ in range(n)]
-    for (u, v), lanes in zip(combinations(range(n), 2), edges):
+    for (u, v), lanes in zip(node_pairs(n), edges):
         adj[u][v] = adj[v][u] = lanes
     return UGLanes(n, graphs, tuple(map(tuple, adj)))
 
@@ -113,7 +133,7 @@ def all_ug_lanes(n: int) -> UGLanes:
 def random_ug_lanes(n: int, count: int, rng: random.Random) -> UGLanes:
     """The graphs that `count` calls of `random_ug(n, rng)` would draw,
     as lanes in draw order."""
-    pairs = list(combinations(range(n), 2))
+    pairs = node_pairs(n)
     graphs = [rng.getrandbits(len(pairs)) for _ in range(count)]
     # each pair's lane mask as a binary numeral, lane k its k-th digit
     # from the right

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import combinations
 from operator import ne, or_, xor
 from typing import Iterator
 
@@ -22,8 +21,7 @@ from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit, compon
 from .separation import (_dependence_row, _independence_row, _independent,
                          _lane_dag_independence_row, _lane_rows, canonical_triples,
                          ci_independent)
-from .smallgraphs import (UGLanes, all_ug_lanes, connected_ugs, default_labels,
-                          random_ug_lanes)
+from .smallgraphs import UGLanes, all_ug_lanes, default_labels, node_pairs, random_ug_lanes
 
 MAX_LATENT_NODES = 5
 MAX_FOREST_NODES = 6
@@ -156,6 +154,20 @@ def _criterion_pairs(g: MixedGraph) -> list[bool]:
     read from the graph's independence row at the entry's position."""
     row = _independence_row(g, GraphKind.COVARIANCE)
     return [row[p] for p, _i, _j, _k in _pair_plan(g.n)]
+
+
+def _connected_pairs(n: int) -> Iterator[tuple[MixedGraph, list[bool]]]:
+    """Each graph of `connected_ugs(n)`, in its order, with its
+    `_criterion_pairs`, read for every graph from one `_lane_rows` call
+    over `all_ug_lanes(n)`.  Each pair entry's independence lanes become
+    one digit string, lane k at index k, so a graph's read costs one
+    string index per entry where a shift would copy the whole mask."""
+    lanes = all_ug_lanes(n)
+    independent, _dependent = _lane_rows(lanes, GraphKind.COVARIANCE)
+    width = len(lanes.graphs)
+    digits = [format(independent[p], f"0{width}b")[::-1] for p, _i, _j, _k in _pair_plan(n)]
+    for k in iter_nodes(lanes.connected()):
+        yield lanes.graph(k), [d[k] == "1" for d in digits]
 
 
 def _trials(g: MixedGraph, expected: list[bool], trials: int, seed: int
@@ -309,9 +321,9 @@ def _latent_parents(lanes: UGLanes) -> list[list[int]]:
     [v][u] holds the lanes whose latent DAG has the arrow u -> v.  Every
     lane shares one node numbering: original nodes keep their ids, and
     the latent of pair (a, b) takes id n + the pair's index in
-    `combinations(range(n), 2)`."""
+    `node_pairs(n)`."""
     n = lanes.n
-    pairs = {pair: n + i for i, pair in enumerate(combinations(range(n), 2))}
+    pairs = {pair: n + i for i, pair in enumerate(node_pairs(n))}
     pa = [[0] * (n + len(pairs)) for _ in range(n + len(pairs))]
     for k in range(len(lanes.graphs)):
         h = latent_dag(lanes.graph(k))
@@ -357,12 +369,13 @@ def forest_sweep(n_max: int = 6) -> dict:
 def _recovered(n: int, row: list[bool]) -> tuple[list[NodeSet], list[NodeSet]]:
     """The adjacency masks of the trial model's `covariance_graph_of` and
     `concentration_graph_of`, read from its row over `_pair_plan(n)`:
-    pair q of `combinations(range(n), 2)` is joined where the row reads
-    dependent at entry q, the K = ∅ block, and at entry
-    len(row) - C(n, 2) + q, the K = V∖{i, j} block."""
+    pair q of `node_pairs(n)` is joined where the row reads dependent at
+    entry q, the K = ∅ block, and at entry len(row) - C(n, 2) + q, the
+    K = V∖{i, j} block."""
     cov, conc = [0] * n, [0] * n
-    last = len(row) - n * (n - 1) // 2
-    for q, (i, j) in enumerate(combinations(range(n), 2)):
+    pairs = node_pairs(n)
+    last = len(row) - len(pairs)
+    for q, (i, j) in enumerate(pairs):
         for adj, p in (cov, q), (conc, last + q):
             if not row[p]:
                 adj[i] |= bit(j)
@@ -405,11 +418,12 @@ def corollaries_sweep(
     from float-tolerance minors, because `bench/worker.py` and CI read it).
 
     A faithful trial's row is the criterion's row, so every faithful trial
-    of a graph shares one recovery, checked once per graph on
-    `_criterion_pairs(g)`, the same read `_trials` counts mismatches
-    against; an unfaithful trial checks its own.  Graph i
-    (counting from 0 over all sizes) draws its trials from seed
-    `seed + 7919 * i`.
+    of a graph shares one recovery, checked once per graph on its
+    criterion pairs, the same read `_trials` counts mismatches against;
+    an unfaithful trial checks its own.  Each size reads the criterion
+    pairs of all its connected graphs from one lane family
+    (`_connected_pairs`).  Graph i (counting from 0 over all sizes, in
+    `connected_ugs` order) draws its trials from seed `seed + 7919 * i`.
     """
     _require_n_max("corollaries", n_max, MAX_FAITHFULNESS_NODES)
     _require_trials(trials)
@@ -417,8 +431,7 @@ def corollaries_sweep(
     graphs = faithful_trials = structural = artifacts = below = 0
     least = trials
     for n in range(1, n_max + 1):
-        for g in connected_ugs(n):
-            expected = _criterion_pairs(g)
+        for g, expected in _connected_pairs(n):
             ok = _recovery_ok(*_recovered(n, expected))
             faithful = 0
             for t, (row, bad) in enumerate(_trials(g, expected, trials, seed + 7919 * graphs)):

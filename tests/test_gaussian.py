@@ -127,6 +127,18 @@ class TestDeterminant:
         assert not ci_test(m, 0, 1, 0) and not ci_test(m, 0, 1, bit(2))
 
 
+def eliminations(monkeypatch) -> list:
+    """The matrices `GaussianModel` hands to `_leading_minors` from now on."""
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return _leading_minors(rows)
+
+    monkeypatch.setattr("covgraph.gaussian._leading_minors", counted)
+    return calls
+
+
 class TestGaussianModel:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -163,24 +175,30 @@ class TestGaussianModel:
             with pytest.raises(ValueError, match="positive definite"):
                 GaussianModel((0.0,) * len(sigma), sigma)
 
-    def test_accepts_exactly_the_positive_definite_integer_matrices(self):
+    def test_accepts_exactly_the_positive_definite_integer_matrices(self, monkeypatch):
         # of the 729 symmetric 4 x 4 matrices with diagonal 2 and
         # off-diagonals in {-1, 0, 1}, 56 are exactly singular; a float
-        # Cholesky factor accepts them, the exact leading minors do not
+        # Cholesky factor accepts them, the exact leading minors do not.
+        # The 25 whose rows hold at most one nonzero off-diagonal are
+        # dominant; the other 704 are eliminated, and 368 of them accepted.
+        calls = eliminations(monkeypatch)
         pairs = list(combinations(range(4), 2))
         accepted = []
         for entries in product((-1.0, 0.0, 1.0), repeat=len(pairs)):
             sigma = [[2.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
             for (i, j), v in zip(pairs, entries):
                 sigma[i][j] = sigma[j][i] = v
+            eliminated = len(calls)
             try:
                 model_of(sigma)
             except ValueError as err:
                 assert str(err) == "sigma must be positive definite"
             else:
-                accepted.append(sigma)
-        assert accepted == [sigma for _g, sigma in integer_models()]
+                accepted.append((sigma, len(calls) > eliminated))
+        assert [sigma for sigma, _ in accepted] == [sigma for _g, sigma in integer_models()]
         assert len(accepted) == 393
+        assert len(calls) == 704
+        assert sum(by_elimination for _, by_elimination in accepted) == 368
 
     def test_keeps_the_scaled_integer_matrix(self):
         m = GaussianModel((0.0, 0.0), ((2.0, 0.375), (0.375, 1.5)))
@@ -188,6 +206,46 @@ class TestGaussianModel:
         assert m._scaled == (16, 3, 3, 12)
         assert m == GaussianModel((0.0, 0.0), ((2.0, 0.375), (0.375, 1.5)))
         assert "_scaled" not in repr(m)
+
+
+class TestCertificatePaths:
+    """Strict diagonal dominance with a positive diagonal certifies a
+    matrix without elimination; any other goes through the Bareiss pass,
+    so together they accept exactly the positive definite matrices."""
+
+    def test_dominant_matrix_is_certified_without_elimination(self, monkeypatch):
+        calls = eliminations(monkeypatch)
+        model_of([[3.0, 1.0, -1.0], [1.0, 3.0, 0.5], [-1.0, 0.5, 2.0]])
+        assert calls == []
+
+    def test_positive_definite_matrix_that_is_not_dominant_is_accepted(self, monkeypatch):
+        # eigenvalues 2.8, 0.1 and 0.1; each row's off-diagonal sum 1.8 > 1
+        calls = eliminations(monkeypatch)
+        model_of([[1.0 if i == j else 0.9 for j in range(3)] for i in range(3)])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("sigma", [[[1.0, 2.0], [2.0, 1.0]], [[-3.0, 1.0], [1.0, -3.0]]],
+                             ids=["not-dominant", "negative-diagonal"])
+    def test_matrix_that_is_not_positive_definite_is_refused(self, monkeypatch, sigma):
+        # [[-3, 1], [1, -3]] dominates in absolute value, but its diagonal
+        # is negative: it fails the dominance test and the elimination
+        calls = eliminations(monkeypatch)
+        with pytest.raises(ValueError, match="positive definite"):
+            model_of(sigma)
+        assert len(calls) == 1
+
+    def test_sampled_models_are_certified_by_dominance(self, monkeypatch):
+        # the diagonal is above n - 0.5 and each row's off-diagonal sum at
+        # most n - 1, up to the complete 64-node graph of the CI line
+        calls = eliminations(monkeypatch)
+        rng = random.Random(35)
+        for n in range(1, 9):
+            for _ in range(4):
+                sample_markov_gaussian(random_ug(n, rng), rng.randrange(2**32))
+        complete = MixedGraph(64, tuple(f"v{i}" for i in range(64)),
+                              frozenset(combinations(range(64), 2)), frozenset())
+        assert sample_markov_gaussian(complete, 0).n == 64
+        assert calls == []
 
 
 class TestSampling:

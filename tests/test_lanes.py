@@ -3,20 +3,23 @@ family as one bit of an int, against the per-graph rows, `saturate` and
 per-graph d-separation."""
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
-from covgraph import (CITriple, GraphKind, MixedGraph, bit, canonical_triples, is_forest,
-                      latent_dag, saturate, verify_forest_faithfulness,
-                      verify_latent_equivalence)
+from covgraph import (CITriple, GraphKind, MixedGraph, bit, canonical_triples,
+                      connectivity_components, is_forest, iter_nodes, latent_dag, saturate,
+                      verify_forest_faithfulness, verify_latent_equivalence)
 from covgraph import separation, verify
 from covgraph.closure import _lane_closure
 from covgraph.separation import (UG_READINGS, _dependence_row, _independence_row,
                                  _independent, _lane_dag_independence_row, _lane_rows)
-from covgraph.smallgraphs import all_forests, all_ug_lanes, all_ugs, random_ug, random_ug_lanes
-from covgraph.verify import (MAX_FAILURES_KEPT, MAX_LATENT_NODES, _closure_check, _describe,
-                             _forest_check, _latent_check, _latent_parents, forest_sweep,
+from covgraph.smallgraphs import (all_forests, all_ug_lanes, all_ugs, connected_ugs, node_pairs,
+                                  random_ug, random_ug_lanes)
+from covgraph.verify import (MAX_FAILURES_KEPT, MAX_LATENT_NODES, _closure_check,
+                             _connected_pairs, _criterion_pairs, _describe, _forest_check,
+                             _latent_check, _latent_parents, corollaries_sweep, forest_sweep,
                              latent_sweep, theorems_sweep)
 
 COV = GraphKind.COVARIANCE
@@ -123,9 +126,78 @@ class TestForestLanes:
         assert lanes.forests().bit_count() == 36_961
 
 
+@lru_cache(maxsize=None)
+def filtered_connected(n):
+    """The connected graphs of `all_ugs(n)` by the component filter that
+    `connected_ugs` ran before its lane selection: the reference."""
+    return [g for g in all_ugs(n) if len(connectivity_components(g)) == 1]
+
+
+class TestConnectedLanes:
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_labeled_ug(self, n):
+        # 1, 1, 1, 4, 38, 728 and 26,704 connected (OEIS A001187)
+        lanes = all_ug_lanes(n)
+        connected = lanes.connected()
+        assert [lanes.graph(k) for k in iter_nodes(connected)] == filtered_connected(n)
+        assert connected.bit_count() == [0, 1, 1, 4, 38, 728, 26_704][n]
+
+    @pytest.mark.parametrize("n, count", [(7, 2048), (8, 1024)])
+    def test_random_batch_against_the_component_filter(self, n, count):
+        lanes = random_ug_lanes(n, count, random.Random(3500 + n))
+        connected = lanes.connected()
+        flags = [bool(connected >> k & 1) for k in range(count)]
+        assert flags == [len(connectivity_components(lanes.graph(k))) == 1 for k in range(count)]
+        assert 0 < sum(flags) < count
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_connected_ugs_keeps_the_filter_order(self, n):
+        assert [sorted(g.undirected) for g in connected_ugs(n)] == \
+            [sorted(g.undirected) for g in filtered_connected(n)]
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_lane_read_criterion_pairs(self, n):
+        # each connected graph's expected row, read from one lane family,
+        # is the per-graph read of its covariance independence row
+        assert list(_connected_pairs(n)) == [(g, _criterion_pairs(g)) for g in connected_ugs(n)]
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_one_pair_tuple_per_size(self, n):
+        assert node_pairs(n) is node_pairs(n)
+        assert node_pairs(n) == tuple(combinations(range(n), 2))
+
+
+def test_corollaries_sweep_reads_no_per_graph_row(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-graph criterion row")
+
+    monkeypatch.setattr(verify, "_independence_row", refuse)
+    r = corollaries_sweep(4, 2, 0)
+    assert (r["graphs"], r["total_trials"], r["passed"]) == (44, 88, True)
+
+
+def test_corollaries_sweep_reads_a_flipped_lane(monkeypatch):
+    """The criterion's A ; C ; - verdict of the path A-B-C lane flipped at
+    3 nodes: every trial of that graph, and of no other, is unfaithful."""
+    k = 5  # edge bits A-B and B-C
+    p = canonical_triples(3).index(CITriple(bit(0), bit(2)))
+    real = verify._lane_rows
+
+    def flip_lane(lanes, kind):
+        independent, dependent = real(lanes, kind)
+        if lanes.n == 3:
+            independent[p] ^= 1 << k
+        return independent, dependent
+
+    monkeypatch.setattr(verify, "_lane_rows", flip_lane)
+    r = corollaries_sweep(4, 3, 0)
+    assert (r["graphs"], r["faithful_trials"], r["graphs_below_threshold"]) == (44, 129, 1)
+    assert r["failures"] == ["n=3 edges=[A-B,B-C] faithful fraction 0.000 < 0.95"]
+
+
 @pytest.mark.parametrize("sweep", [lambda: theorems_sweep(4, 0), lambda: forest_sweep(4),
-                                   lambda: latent_sweep(4)],
-                         ids=["theorems", "forest", "latent"])
+                                   lambda: latent_sweep(4), lambda: corollaries_sweep(4, 1)],
+                         ids=["theorems", "forest", "latent", "corollaries"])
 def test_each_lane_check_walks_a_family_once(monkeypatch, sweep):
     """Both rows of a family come from one path walk: a sweep over sizes
     1-4, one family per size, walks four times."""
