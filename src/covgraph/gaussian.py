@@ -8,14 +8,17 @@ exactly on the non-edges.  Conditional independence i | j given K holds
 iff det(sigma[{i} | K, {j} | K]) vanishes.
 
 Every verdict is exact, on the integer matrix S = sigma * 2**shift the
-model keeps.  Positive definiteness is certified first by strict
-diagonal dominance with a positive diagonal (Levy-Desplanques, a
-corollary of Gershgorin's circle theorem), an O(n**2) integer test that
-every sampled model passes; a matrix that fails it goes to one
-fraction-free elimination (`_leading_minors`), which also decides each
-`ci_test` by an exact zero.  The sweeps read every minor of a trial from
-one table built on S by the same identity (`_minors`).  No float
-arithmetic decides a verdict.
+model keeps.  One certificate serves every matrix (`_certify`): strict
+diagonal dominance with a positive diagonal (`_dominant`;
+Levy-Desplanques, a corollary of Gershgorin's circle theorem), an
+integer test that every sampled model passes; a matrix that fails it
+goes to one fraction-free elimination (`_leading_minors`), which also
+decides each `ci_test` by an exact zero.  Sampling is one draw
+(`_draw`) that builds S from the n + |E| nonzero entries alone and
+certifies it; `sample_markov_gaussian` wraps it in a `GaussianModel`,
+and the sweeps read every minor of a trial from one table built on the
+drawn S by the same identity (`_minors`), with no model per trial.  No
+float arithmetic decides a verdict.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import inf, isfinite
-from typing import Optional, Sequence
+from operator import gt
+from typing import Iterable, Optional, Sequence
 
 from .graphs import MixedGraph, NodeSet, bit, iter_nodes
 
@@ -61,19 +65,35 @@ def _leading_minors(rows: Sequence[Sequence[int]]) -> list[int]:
     return minors
 
 
+def _dominant(diagonal: Iterable[int], off: Iterable[int]) -> bool:
+    """Strict diagonal dominance with a positive diagonal: every diagonal
+    entry exceeds `off`, its row's sum of absolute off-diagonal entries.
+    A symmetric matrix that has it is positive definite (Levy-Desplanques,
+    a corollary of Gershgorin's circle theorem)."""
+    return all(map(gt, diagonal, off))
+
+
+def _certify(n: int, s: Sequence[int], off: Sequence[int]) -> None:
+    """Refuse the symmetric n x n integer matrix s, flat by rows, unless
+    it is positive definite; off[r] is the sum of |s[r][c]| over c != r.
+    `_dominant` is sufficient, in O(n) once `off` is known; a matrix that
+    fails it is positive definite iff every leading principal minor is
+    positive (Sylvester's criterion), by one Bareiss elimination.  The
+    first test is sufficient and the second exact, so together they
+    accept exactly the positive definite matrices."""
+    if not (_dominant(s[::n + 1], off)
+            or all(m > 0 for m in _leading_minors([s[r * n:(r + 1) * n] for r in range(n)]))):
+        raise ValueError("sigma must be positive definite")
+
+
 @dataclass(frozen=True)
 class GaussianModel:
     """Mean vector and covariance matrix; construction certifies symmetry
     and, exactly, positive definiteness.
 
     Every float is dyadic, so S = sigma * 2**shift is an integer matrix.
-    The model keeps shift and S, row by row in one flat tuple.  Sigma is
-    positive definite when every row of S has 2 * S[r][r] > sum(|S[r]|),
-    strict diagonal dominance with a positive diagonal (Levy-Desplanques);
-    otherwise it is positive definite iff every leading principal minor
-    of S is positive (Sylvester's criterion), by one Bareiss elimination.
-    The first test is sufficient and the second exact, so together they
-    accept exactly the positive definite matrices.
+    The model keeps shift and S, row by row in one flat tuple, and
+    certifies S by `_certify`, the test every drawn matrix passes too.
     """
 
     mean: tuple[float, ...]
@@ -97,10 +117,8 @@ class GaussianModel:
             raise ValueError("sigma must be positive definite") from None
         shift = max([q for _p, q in ratios], default=1).bit_length() - 1
         scaled = tuple([p << (shift + 1 - q.bit_length()) for p, q in ratios])
-        rows = [scaled[r * n:(r + 1) * n] for r in range(n)]
-        if not (all(2 * row[r] > sum(map(abs, row)) for r, row in enumerate(rows))
-                or all(m > 0 for m in _leading_minors(rows))):
-            raise ValueError("sigma must be positive definite")
+        _certify(n, scaled, [sum(map(abs, scaled[r * n:(r + 1) * n])) - abs(scaled[r * n + r])
+                             for r in range(n)])
         object.__setattr__(self, "_shift", shift)
         object.__setattr__(self, "_scaled", scaled)
 
@@ -121,27 +139,48 @@ def trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
-def sample_markov_gaussian(g: MixedGraph, seed: int) -> GaussianModel:
-    """Deterministic-in-seed draw of a model Markov to the graph.
+def _draw(g: MixedGraph, seed: int) -> tuple[int, list[int], tuple[float, ...]]:
+    """The shift, the certified integer matrix S = sigma * 2**shift (flat
+    by rows) and the mean of the model Markov to the graph that `seed`
+    draws: the one draw behind `sample_markov_gaussian` and every trial.
 
-    Draw order: diagonal by node index, edge entries in sorted edge order,
-    then the mean.  Non-edges are exactly zero.
+    Draw order: diagonal by node index from (n - 0.5, n + 0.5), edge
+    entries in sorted edge order from [-1, 1], then the mean from [-1, 1],
+    each as `random.uniform` computes it, a + (b - a) * random().
+    Non-edges are exactly zero, so only the n + |E| drawn entries are
+    converted, and `_certify` reads their row sums in O(n + |E|).
     """
     if g.directed:
         raise ValueError("sampling requires an undirected graph")
     if seed < 0:
         raise ValueError("seed must not be negative")
-    rng = random.Random(seed)
+    u = random.Random(seed).random
     n = g.n
-    sig = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        sig[i][i] = rng.uniform(n - 0.5, n + 0.5)
-    for i, j in sorted(g.undirected):
-        v = rng.uniform(-1.0, 1.0)
-        sig[i][j] = v
-        sig[j][i] = v
-    mean = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
-    return GaussianModel(mean, tuple(tuple(row) for row in sig))
+    edges = sorted(g.undirected)
+    ratios = [((n - 0.5) + u()).as_integer_ratio() for _ in range(n)]
+    ratios += [(-1.0 + 2.0 * u()).as_integer_ratio() for _ in edges]
+    mean = tuple([-1.0 + 2.0 * u() for _ in range(n)])
+    shift = max([q for _p, q in ratios], default=1).bit_length() - 1
+    values = [p << (shift + 1 - q.bit_length()) for p, q in ratios]
+    s = [0] * (n * n)
+    s[::n + 1] = values[:n]
+    off = [0] * n
+    for (i, j), v in zip(edges, values[n:]):
+        s[i * n + j] = s[j * n + i] = v
+        off[i] += abs(v)
+        off[j] += abs(v)
+    _certify(n, s, off)
+    return shift, s, mean
+
+
+def sample_markov_gaussian(g: MixedGraph, seed: int) -> GaussianModel:
+    """Deterministic-in-seed draw of a model Markov to the graph: the
+    model of `_draw(g, seed)`.  Each entry of sigma is S * 2**-shift,
+    exactly the float drawn."""
+    shift, s, mean = _draw(g, seed)
+    n, unit = g.n, 2.0 ** -shift
+    return GaussianModel(mean, tuple(tuple([v * unit for v in s[r * n:(r + 1) * n]])
+                                     for r in range(n)))
 
 
 def require_tolerance(tol: float) -> None:
@@ -188,22 +227,22 @@ def _minor_steps(n: int) -> tuple[tuple[int, int, int, tuple[tuple[int, ...], ..
     return tuple(steps)
 
 
-def _minors(model: GaussianModel) -> list[Optional[list[int]]]:
-    """Every minor the determinant tests of a model read, exactly.
+def _minors(n: int, s: Sequence[int]) -> list[Optional[list[int]]]:
+    """Every minor the determinant tests of a trial read, exactly.
 
     table[K][a * n + b] is E(a, b, K) = det S[{a} | K, {b} | K] of the
-    model's integer matrix S = sigma * 2**shift, for a != b outside K
-    with |K| <= n - 2, and for a == b with |K| <= n - 3.  Each K comes
-    from its parent P = K minus its top node k by Sylvester's identity,
-    the step of Bareiss's fraction-free elimination:
+    certified symmetric n x n integer matrix S, flat by rows: a trial's
+    `_draw`, or a model's `_scaled`, S = sigma * 2**shift.  It holds for
+    a != b outside K with |K| <= n - 2, and for a == b with |K| <= n - 3.
+    Each K comes from its parent P = K minus its top node k by
+    Sylvester's identity, the step of Bareiss's fraction-free elimination:
     E(a, b, K) * det S[P, P] = E(a, b, P) * E(k, k, P) - E(a, k, P) * E(k, b, P).
-    The division is exact, and det S[P, P] > 0 because construction
+    The division is exact, and det S[P, P] > 0 because `_certify`
     certified S positive definite.  S is symmetric, so each entry is
     computed once for a <= b and stored at both positions.
     """
-    n = model.n
     table: list[Optional[list[int]]] = [None] * (1 << n)
-    table[0] = list(model._scaled)
+    table[0] = list(s)
     pivots = [1] * (1 << n)  # pivots[K] = det S[K, K]
     for mask, parent, at, cells in _minor_steps(n):
         e, d = table[parent], pivots[parent]

@@ -15,13 +15,14 @@ from operator import ne, or_, xor
 from typing import Iterator
 
 from .closure import MAX_CLOSURE_NODES, RULES, ClosureState, _lane_closure
-from .gaussian import _minors, sample_markov_gaussian, trial_seed
+from .gaussian import _draw, _minors, trial_seed
 from .graphs import (GraphKind, MixedGraph, NodeSet, SizeLimitError, bit, components,
                      is_forest, iter_nodes, latent_dag)
 from .separation import (_dependence_row, _independence_row, _independent,
                          _lane_dag_independence_row, _lane_rows, canonical_triples,
                          ci_independent)
-from .smallgraphs import UGLanes, all_ug_lanes, default_labels, node_pairs, random_ug_lanes
+from .smallgraphs import (UGLanes, all_ug_lanes, default_labels, iter_lanes, node_pairs,
+                          random_ug_lanes)
 
 MAX_LATENT_NODES = 5
 MAX_FOREST_NODES = 6
@@ -166,7 +167,7 @@ def _connected_pairs(n: int) -> Iterator[tuple[MixedGraph, list[bool]]]:
     independent, _dependent = _lane_rows(lanes, GraphKind.COVARIANCE)
     width = len(lanes.graphs)
     digits = [format(independent[p], f"0{width}b")[::-1] for p, _i, _j, _k in _pair_plan(n)]
-    for k in iter_nodes(lanes.connected()):
+    for k in iter_lanes(lanes.connected()):
         yield lanes.graph(k), [d[k] == "1" for d in digits]
 
 
@@ -176,13 +177,15 @@ def _trials(g: MixedGraph, expected: list[bool], trials: int, seed: int
     `_pair_plan(g.n)`, in plan order, and the number of them that disagree
     with `expected`, the caller's one read of `_criterion_pairs(g)`.
 
-    A verdict reads independence exactly when the minor
-    det sigma[{i} | K, {j} | K], taken from the trial's `_minors` table,
-    is zero."""
+    Trial t is `_draw(g, trial_seed(seed, t))`, the certified integer
+    matrix S of `sample_markov_gaussian`'s model with no model built, and
+    a verdict reads independence exactly when the minor
+    det S[{i} | K, {j} | K], taken from the trial's `_minors` table, is
+    zero."""
     n = g.n
     cells = [(k, i * n + j) for _p, i, j, k in _pair_plan(n)]
     for t in range(trials):
-        minors = _minors(sample_markov_gaussian(g, trial_seed(seed, t)))
+        minors = _minors(n, _draw(g, trial_seed(seed, t))[1])
         row = [not minors[k][ij] for k, ij in cells]
         yield row, sum(map(ne, row, expected))
 
@@ -299,7 +302,7 @@ def _lane_sweep(scope: str, n_max: int, limit: int, family, check) -> dict:
             count = checked.bit_count()
             graphs += count
             triples += count * len(left)
-            for k in iter_nodes(checked & reduce(or_, map(xor, left, right), 0)):
+            for k in iter_lanes(checked & reduce(or_, map(xor, left, right), 0)):
                 if len(failures) == MAX_FAILURES_KEPT:
                     break
                 described = _describe(lanes.graph(k))
@@ -320,16 +323,15 @@ def _latent_parents(lanes: UGLanes) -> list[list[int]]:
     """The `latent_dag` of every graph of `lanes` as one lane DAG: entry
     [v][u] holds the lanes whose latent DAG has the arrow u -> v.  Every
     lane shares one node numbering: original nodes keep their ids, and
-    the latent of pair (a, b) takes id n + the pair's index in
-    `node_pairs(n)`."""
+    the latent of pair e = (a, b) of `node_pairs(n)` takes id n + e.  The
+    construction's rule, stated on pairs: a graph has the arrows
+    n + e -> a and n + e -> b exactly when it has the edge a - b, so
+    both entries are that edge's lane mask."""
     n = lanes.n
-    pairs = {pair: n + i for i, pair in enumerate(node_pairs(n))}
+    pairs = node_pairs(n)
     pa = [[0] * (n + len(pairs)) for _ in range(n + len(pairs))]
-    for k in range(len(lanes.graphs)):
-        h = latent_dag(lanes.graph(k))
-        ids = {latent: pairs[a, b] for a, b, latent in h.latents}
-        for tail, head in h.dag.directed:
-            pa[ids.get(head, head)][ids.get(tail, tail)] |= 1 << k
+    for e, (a, b) in enumerate(pairs):
+        pa[a][n + e] = pa[b][n + e] = lanes.adj[a][b]
     return pa
 
 

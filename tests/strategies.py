@@ -7,7 +7,8 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from covgraph import GaussianModel, MixedGraph, sample_markov_gaussian
+from covgraph import MixedGraph
+from covgraph.gaussian import _draw
 from covgraph.smallgraphs import default_labels
 
 
@@ -85,8 +86,8 @@ def dead_end_clique(k: int) -> MixedGraph:
     return MixedGraph.ug(["a", *clique, "b"], edges)
 
 
-def complete_graph_model(g: MixedGraph, seed: int) -> GaussianModel:
-    """The model `sample_markov_gaussian` draws for the complete graph on
-    g's labels.  Patched in as the sweeps' sampler, it makes every missing
-    edge of g read as a dependence."""
-    return sample_markov_gaussian(MixedGraph.ug(g.labels, combinations(g.labels, 2)), seed)
+def complete_graph_draw(g: MixedGraph, seed: int) -> tuple[int, list[int], tuple[float, ...]]:
+    """The draw `gaussian._draw` makes for the complete graph on g's
+    labels.  Patched in as the sweeps' draw, it makes every missing edge
+    of g read as a dependence."""
+    return _draw(MixedGraph.ug(g.labels, combinations(g.labels, 2)), seed)

@@ -13,7 +13,7 @@ from closure_oracles import naive_explain_json
 from covgraph import canonical_triples, format_graph, parse_graph, saturate
 from covgraph.cli import _explain_payload, main
 from covgraph.smallgraphs import all_ugs, random_ug
-from strategies import complete_graph_model, dead_end_clique
+from strategies import complete_graph_draw, dead_end_clique
 
 CYCLE4 = "A -- B\nB -- C\nC -- D\nD -- A\n"
 PATH3 = "A -- B\nB -- C\n"
@@ -347,7 +347,7 @@ class TestVerifyCommands:
         assert received == [pair for row in sizes for pair in zip(scopes, row)]
 
     def test_unfaithful_models_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr("covgraph.verify.sample_markov_gaussian", complete_graph_model)
+        monkeypatch.setattr("covgraph.verify._draw", complete_graph_draw)
         code, out, _ = run_cli(capsys, ["verify", "--scope", "corollaries",
                                         "--n-max", "3", "--trials", "2"])
         assert code == 1

@@ -37,13 +37,13 @@ from covgraph import (
     submasks,
     trial_seed,
 )
-from covgraph.gaussian import _leading_minors, _minors
+from covgraph.gaussian import _dominant, _draw, _leading_minors, _minors
 from covgraph.separation import _dependence_row, _independence_row
 from covgraph.verify import (MAX_FAILURES_KEPT, _pair_plan, _recovered, _recovery_ok,
                              _trials, corollaries_sweep)
 from covgraph.smallgraphs import all_ugs, connected_ugs, random_ug
 from oracles import det_cofactor, inverse_adjugate
-from strategies import complete_graph_model
+from strategies import complete_graph_draw
 
 COV = GraphKind.COVARIANCE
 
@@ -246,6 +246,85 @@ class TestCertificatePaths:
                               frozenset(combinations(range(64), 2)), frozenset())
         assert sample_markov_gaussian(complete, 0).n == 64
         assert calls == []
+
+
+def reference_model(g, seed) -> GaussianModel:
+    """The model as sampled before `_draw`: a dense float sigma filled by
+    `random.uniform` in the draw order, certified by `GaussianModel`."""
+    rng = random.Random(seed)
+    n = g.n
+    sigma = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        sigma[i][i] = rng.uniform(n - 0.5, n + 0.5)
+    for i, j in sorted(g.undirected):
+        sigma[i][j] = sigma[j][i] = rng.uniform(-1.0, 1.0)
+    mean = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
+    return GaussianModel(mean, tuple(map(tuple, sigma)))
+
+
+def draw_cases():
+    """Seeded graphs of 1-8 nodes, each with a seed, and the complete
+    64-node graph of the CI line."""
+    rng = random.Random(36)
+    cases = [(random_ug(n, rng), rng.randrange(2**32)) for n in range(1, 9) for _ in range(12)]
+    complete = MixedGraph(64, tuple(f"v{i}" for i in range(64)),
+                          frozenset(combinations(range(64), 2)), frozenset())
+    return cases + [(complete, 0)]
+
+
+class TestDraw:
+    """`_draw` is the one draw: `sample_markov_gaussian`'s model and every
+    trial's integer matrix come from it, and it certifies what it draws."""
+
+    def test_draw_is_the_sampled_model(self):
+        for g, seed in draw_cases():
+            shift, s, mean = _draw(g, seed)
+            model = sample_markov_gaussian(g, seed)
+            assert (shift, tuple(s), mean) == (model._shift, model._scaled, model.mean), g
+            reference = reference_model(g, seed)
+            assert model == reference, g
+            assert (reference._shift, reference._scaled) == (shift, tuple(s)), g
+
+    def test_dominance_reads_the_drawn_rows(self, monkeypatch):
+        # the sparse row sums the draw hands to `_dominant` are the dense ones
+        seen = []
+
+        def recorded(diagonal, off):
+            seen.append((list(diagonal), list(off)))
+            return _dominant(diagonal, off)
+
+        monkeypatch.setattr("covgraph.gaussian._dominant", recorded)
+        for g, seed in draw_cases():
+            del seen[:]
+            _shift, s, _mean = _draw(g, seed)
+            n = g.n
+            rows = [s[r * n:(r + 1) * n] for r in range(n)]
+            assert seen == [([row[r] for r, row in enumerate(rows)],
+                             [sum(map(abs, row)) - abs(row[r]) for r, row in enumerate(rows)])]
+
+    def test_a_draw_refused_by_dominance_is_eliminated(self, monkeypatch):
+        # with the shared dominance test forced to refuse, every draw pays
+        # one elimination and is still certified, to the same matrix
+        rng = random.Random(3601)
+        cases = [(random_ug(n, rng), rng.randrange(2**32)) for n in range(0, 8) for _ in range(3)]
+        want = [_draw(g, seed) for g, seed in cases]
+        calls = eliminations(monkeypatch)
+        monkeypatch.setattr("covgraph.gaussian._dominant", lambda diagonal, off: False)
+        assert [_draw(g, seed) for g, seed in cases] == want
+        assert len(calls) == len(cases)
+        # and an elimination that refuses too refuses the draw
+        monkeypatch.setattr("covgraph.gaussian._leading_minors", lambda rows: [0])
+        for g, seed in cases:
+            with pytest.raises(ValueError, match="positive definite"):
+                _draw(g, seed)
+
+    def test_trials_build_no_model(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("GaussianModel built")
+
+        want = (corollaries_sweep(4, 3, 1), faithfulness_report(cycle4(), 4, 2))
+        monkeypatch.setattr(GaussianModel, "__post_init__", refuse)
+        assert (corollaries_sweep(4, 3, 1), faithfulness_report(cycle4(), 4, 2)) == want
 
 
 class TestSampling:
@@ -672,7 +751,7 @@ class TestMinors:
     def _check_against_fractions(sigma):
         n = len(sigma)
         model = model_of(sigma)
-        shift, table = model._shift, _minors(model)
+        shift, table = model._shift, _minors(model.n, model._scaled)
         checked = 0
         for k in range(1 << n):
             if k.bit_count() > n - 2:
@@ -708,7 +787,8 @@ class TestMinors:
         # show as some nonzero E(i, j, Z), an independence as all zero.
         unfaithful = 0
         for g, sigma in integer_models():
-            minors = _minors(model_of(sigma))
+            model = model_of(sigma)
+            minors = _minors(model.n, model._scaled)
 
             def vanishes(t):
                 return all(minors[t.z][i * 4 + j] == 0
@@ -732,7 +812,7 @@ def vanishing_row(sigma) -> list[bool]:
     n = len(sigma)
     model = model_of(sigma)
     assert model._shift == 0
-    minors = _minors(model)
+    minors = _minors(n, model._scaled)
     return [all(minors[t.z][i * n + j] == 0 for i in iter_nodes(t.x) for j in iter_nodes(t.y))
             for t in canonical_triples(n)]
 
@@ -873,7 +953,7 @@ class TestCorollariesSweep:
         assert flipped == []
 
     def test_unfaithful_models_fail_the_threshold(self, monkeypatch):
-        monkeypatch.setattr("covgraph.verify.sample_markov_gaussian", complete_graph_model)
+        monkeypatch.setattr("covgraph.verify._draw", complete_graph_draw)
         r = corollaries_sweep(3, 2, 0)
         assert not r["passed"]
         # the three paths on 3 nodes are never faithful; the complete
@@ -915,14 +995,14 @@ class TestCorollariesSweep:
         assert r["passed"] and r["total_trials"] == 3 * r["graphs"]
         assert calls[0] == r["graphs"] + r["total_trials"] - r["faithful_trials"]
         # the three paths on 3 nodes are never faithful under these models
-        monkeypatch.setattr(verify, "sample_markov_gaussian", complete_graph_model)
+        monkeypatch.setattr(verify, "_draw", complete_graph_draw)
         calls[0] = 0
         r = corollaries_sweep(3, 4, 0)
         assert (r["graphs"], r["total_trials"], r["faithful_trials"]) == (6, 24, 12)
         assert calls[0] == 6 + 12
 
     def test_recovery_defect_on_an_unfaithful_trial_is_tallied(self, monkeypatch):
-        monkeypatch.setattr("covgraph.verify.sample_markov_gaussian", complete_graph_model)
+        monkeypatch.setattr("covgraph.verify._draw", complete_graph_draw)
         monkeypatch.setattr("covgraph.verify._recovery_ok", lambda cov, conc: False)
         r = corollaries_sweep(3, 2, 0)
         # the paths' unfaithful trials are tallied, not recorded as defects

@@ -15,8 +15,8 @@ from covgraph import separation, verify
 from covgraph.closure import _lane_closure
 from covgraph.separation import (UG_READINGS, _dependence_row, _independence_row,
                                  _independent, _lane_dag_independence_row, _lane_rows)
-from covgraph.smallgraphs import (all_forests, all_ug_lanes, all_ugs, connected_ugs, node_pairs,
-                                  random_ug, random_ug_lanes)
+from covgraph.smallgraphs import (all_forests, all_ug_lanes, all_ugs, connected_ugs, iter_lanes,
+                                  node_pairs, random_ug, random_ug_lanes)
 from covgraph.verify import (MAX_FAILURES_KEPT, MAX_LATENT_NODES, _closure_check,
                              _connected_pairs, _criterion_pairs, _describe, _forest_check,
                              _latent_check, _latent_parents, corollaries_sweep, forest_sweep,
@@ -113,6 +113,10 @@ class TestForestLanes:
     def test_all_forests_are_the_forests_of_all_ugs_in_order(self, n):
         assert list(all_forests(n)) == [g for g in all_ugs(n) if is_forest(g)]
 
+    def test_all_forests_of_seven_nodes(self):
+        # the labeled forests on 7 nodes number 36,961 (OEIS A001858)
+        assert sum(1 for _ in all_forests(7)) == 36_961
+
     def test_every_seven_node_ug_as_lanes(self):
         # lane k holds pair e exactly when bit e of k is set, checked on
         # 2,000 seeded lanes of the 2,097,152; the labeled forests on 7
@@ -124,6 +128,22 @@ class TestForestLanes:
         for k in (rng.randrange(1 << 21) for _ in range(2000)):
             assert [m[k >> 3] >> (k & 7) & 1 for m in masks] == [k >> e & 1 for e in range(21)], k
         assert lanes.forests().bit_count() == 36_961
+
+
+class TestIterLanes:
+    @pytest.mark.parametrize("width", [1, 7, 64, 1000, 1 << 15])
+    def test_matches_iter_nodes_on_seeded_masks(self, width):
+        rng = random.Random(3600 + width)
+        for density in (0.02, 0.5, 0.98):
+            for _ in range(4):
+                mask = sum(1 << k for k in range(width) if rng.random() < density)
+                assert list(iter_lanes(mask)) == list(iter_nodes(mask))
+
+    def test_edge_masks(self):
+        assert list(iter_lanes(0)) == []
+        assert list(iter_lanes(1)) == [0]
+        assert list(iter_lanes(1 << 70)) == [70]
+        assert list(iter_lanes((1 << 70) - 1)) == list(range(70))
 
 
 @lru_cache(maxsize=None)
@@ -321,23 +341,40 @@ class TestLaneDagRow:
             for k, expected in enumerate(dag_rows(dags, n)):
                 assert lane(row, k) == expected, (dags[k], n)
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_parents_are_the_latent_dag_arrows(self, n):
         # lane k's arrows are those of latent_dag(graph k), with the latent
         # named L_a_b taking id n + the index of pair (a, b)
-        labels = "ABCDE"[:n]
+        labels = "ABCDEF"[:n]
         ids = {f"L_{labels[a]}_{labels[b]}": n + i
                for i, (a, b) in enumerate(combinations(range(n), 2))}
         ids.update((label, v) for v, label in enumerate(labels))
         lanes = all_ug_lanes(n)
         pa = _latent_parents(lanes)
         assert len(pa) == n + n * (n - 1) // 2
+        assert all(len(row) == len(pa) for row in pa)
+        # each nonzero entry as one digit string, lane k at index k, so a
+        # 32,768-lane entry is read without a shift per lane
+        width = len(lanes.graphs)
+        entries = [((u, v), format(mask, f"0{width}b")[::-1])
+                   for v, row in enumerate(pa) for u, mask in enumerate(row) if mask]
+        assert all(mask >> width == 0 for row in pa for mask in row)
         for k, g in enumerate(all_ugs(n)):
             h = latent_dag(g).dag
             want = {(ids[h.labels[tail]], ids[h.labels[head]]) for tail, head in h.directed}
-            got = {(u, v) for v, row in enumerate(pa) for u, lanes in enumerate(row)
-                   if lanes >> k & 1}
-            assert got == want, g
+            assert {arrow for arrow, digits in entries if digits[k] == "1"} == want, g
+
+    def test_sweep_builds_no_per_lane_latent_dag(self, monkeypatch):
+        # the lane parents come from the pair rule; the per-graph check
+        # keeps `latent_dag`
+        def refuse(g):
+            raise AssertionError("per-lane latent_dag call")
+
+        monkeypatch.setattr(verify, "latent_dag", refuse)
+        r = latent_sweep(5)
+        assert (r["graphs"], r["triples_checked"], r["passed"]) == (1099, 295434, True)
+        with pytest.raises(AssertionError, match="per-lane"):
+            verify_latent_equivalence(MixedGraph.ug("AB", [("A", "B")]))
 
     @pytest.mark.parametrize("n, count", [(6, 2048), (7, 512)])
     def test_latent_equivalence_past_the_sweep_sizes(self, n, count):
