@@ -179,7 +179,9 @@ def saturate(g: MixedGraph) -> ClosureState:
 
     A statement is its position in `canonical_triples(g.n)`, so each
     independence antecedent is one entry of the covariance independence
-    row.  The order of `_sites` decides first derivations, not the closure.
+    row.  The base is canonical order's opening block, as in `_lane_closure`,
+    so equal graphs give equal states.  The order of `_sites` decides
+    first derivations, not the closure.
     """
     if g.directed:
         raise ValueError("closure is defined for covariance (undirected) graphs")
@@ -200,9 +202,9 @@ def saturate(g: MixedGraph) -> ClosureState:
     est = [False] * len(indep)
     derivations = [None] * len(indep)
     order: list[int] = []
-    positions = _positions(n)
-    for i, j in g.undirected:
-        add(positions[bit(i) | bit(j) << n], RULE_BASE, (), ())
+    for p, pair in enumerate(combinations(range(n), 2)):
+        if pair in g.undirected:
+            add(p, RULE_BASE, (), ())
 
     set_sites, node_sites = _sites(n)
 

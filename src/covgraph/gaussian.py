@@ -212,8 +212,8 @@ def ci_test(model: GaussianModel, i: int, j: int, k: NodeSet) -> bool:
 def _minor_steps(n: int) -> tuple[tuple[int, int, int, tuple[tuple[int, ...], ...]], ...]:
     """The steps of `_minors` at size n, in mask order: (K, P, kk, cells)
     with P = K minus its top node k, kk the position of (k, k), and per
-    computed entry (a, b) the positions (ab, ba, ak, kb).  Diagonal entries
-    are computed only where a larger K reads them as a pivot."""
+    computed entry (a, b) the positions (ab, ba, ak, kb).  A diagonal entry
+    (a, a) is computed only for a above k: the pivot that K plus a reads."""
     steps = []
     for mask in range(1, 1 << n):
         size = mask.bit_count()
@@ -222,7 +222,7 @@ def _minor_steps(n: int) -> tuple[tuple[int, int, int, tuple[tuple[int, ...], ..
         k = mask.bit_length() - 1
         out = [a for a in range(n) if not mask >> a & 1]
         cells = tuple((a * n + b, b * n + a, a * n + k, k * n + b)
-                      for x, a in enumerate(out) for b in out[x + (size == n - 2):])
+                      for x, a in enumerate(out) for b in out[x + (size == n - 2 or a < k):])
         steps.append((mask, mask ^ bit(k), k * n + k, cells))
     return tuple(steps)
 
@@ -233,9 +233,9 @@ def _minors(n: int, s: Sequence[int]) -> list[Optional[list[int]]]:
     table[K][a * n + b] is E(a, b, K) = det S[{a} | K, {b} | K] of the
     certified symmetric n x n integer matrix S, flat by rows: a trial's
     `_draw`, or a model's `_scaled`, S = sigma * 2**shift.  It holds for
-    a != b outside K with |K| <= n - 2, and for a == b with |K| <= n - 3.
-    Each K comes from its parent P = K minus its top node k by
-    Sylvester's identity, the step of Bareiss's fraction-free elimination:
+    a != b outside K with |K| <= n - 2, and for a == b above every node
+    of K, with |K| <= n - 3.  Each K comes from P = K minus its top node k
+    by Sylvester's identity, the step of Bareiss's fraction-free elimination:
     E(a, b, K) * det S[P, P] = E(a, b, P) * E(k, k, P) - E(a, k, P) * E(k, b, P).
     The division is exact, and det S[P, P] > 0 because `_certify`
     certified S positive definite.  S is symmetric, so each entry is

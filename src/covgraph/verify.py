@@ -138,56 +138,47 @@ class FaithfulnessReport:
 
 
 @lru_cache(maxsize=None)
-def _pair_plan(n: int) -> tuple[tuple[int, int, int, NodeSet], ...]:
-    """(position, i, j, K) of each pair triple of `canonical_triples(n)`,
-    the triples {i} ; {j} ; K whose X and Y are single nodes, in order:
-    the entries a model's determinant tests are compared against.
+def _pair_plan(n: int) -> tuple[tuple[int, NodeSet, int], ...]:
+    """(position, K, i * n + j) of each pair triple {i} ; {j} ; K of
+    `canonical_triples(n)`, the triples whose X and Y are single nodes, in
+    order: the entries a model's determinant tests are compared against,
+    each with the cell of its minor in a `_minors` table row.
     Canonical order sorts by size first, so the first C(n, 2) entries are
     {i} ; {j} ; ∅ and the last C(n, 2) are {i} ; {j} ; V∖{i, j}, each
     block in `combinations(range(n), 2)` order."""
-    return tuple((p, t.x.bit_length() - 1, t.y.bit_length() - 1, t.z)
+    return tuple((p, t.z, (t.x.bit_length() - 1) * n + t.y.bit_length() - 1)
                  for p, t in enumerate(canonical_triples(n))
                  if t.x.bit_count() == t.y.bit_count() == 1)
 
 
-def _criterion_pairs(g: MixedGraph) -> list[bool]:
-    """The covariance criterion's verdict on each entry of `_pair_plan(g.n)`,
-    read from the graph's independence row at the entry's position."""
-    row = _independence_row(g, GraphKind.COVARIANCE)
-    return [row[p] for p, _i, _j, _k in _pair_plan(g.n)]
-
-
 def _connected_pairs(n: int) -> Iterator[tuple[MixedGraph, list[bool]]]:
-    """Each graph of `connected_ugs(n)`, in its order, with its
-    `_criterion_pairs`, read for every graph from one `_lane_rows` call
-    over `all_ug_lanes(n)`.  Each pair entry's independence lanes become
-    one digit string, lane k at index k, so a graph's read costs one
-    string index per entry where a shift would copy the whole mask."""
+    """Each graph of `connected_ugs(n)`, in its order, with the criterion's
+    verdicts on `_pair_plan(n)`, read for every graph from one `_lane_rows`
+    call over `all_ug_lanes(n)`.  Each pair entry's independence lanes
+    become one digit string, lane k at index k, so a graph's read costs
+    one string index per entry where a shift would copy the whole mask."""
     lanes = all_ug_lanes(n)
     independent, _dependent = _lane_rows(lanes, GraphKind.COVARIANCE)
     width = len(lanes.graphs)
-    digits = [format(independent[p], f"0{width}b")[::-1] for p, _i, _j, _k in _pair_plan(n)]
+    digits = [format(independent[p], f"0{width}b")[::-1] for p, _k, _ij in _pair_plan(n)]
     for k in iter_lanes(lanes.connected()):
         yield lanes.graph(k), [d[k] == "1" for d in digits]
 
 
-def _trials(g: MixedGraph, expected: list[bool], trials: int, seed: int
-            ) -> Iterator[tuple[list[bool], int]]:
+def _trials(g: MixedGraph, trials: int, seed: int) -> Iterator[list[bool]]:
     """For each trial, the determinant verdict on every entry of
-    `_pair_plan(g.n)`, in plan order, and the number of them that disagree
-    with `expected`, the caller's one read of `_criterion_pairs(g)`.
+    `_pair_plan(g.n)`, in plan order.
 
     Trial t is `_draw(g, trial_seed(seed, t))`, the certified integer
     matrix S of `sample_markov_gaussian`'s model with no model built, and
     a verdict reads independence exactly when the minor
-    det S[{i} | K, {j} | K], taken from the trial's `_minors` table, is
-    zero."""
+    det S[{i} | K, {j} | K], read from the trial's `_minors` table at the
+    plan's cell, is zero."""
     n = g.n
-    cells = [(k, i * n + j) for _p, i, j, k in _pair_plan(n)]
+    plan = _pair_plan(n)
     for t in range(trials):
         minors = _minors(n, _draw(g, trial_seed(seed, t))[1])
-        row = [not minors[k][ij] for k, ij in cells]
-        yield row, sum(map(ne, row, expected))
+        yield [not minors[k][ij] for _p, k, ij in plan]
 
 
 def faithfulness_report(
@@ -195,14 +186,16 @@ def faithfulness_report(
     trials: int,
     seed: int = 0,
 ) -> FaithfulnessReport:
-    """Sample `trials` models and compare their exact zero minors against
-    the covariance-graph criterion over every (i, j, K) of `_pair_plan`,
-    read once by position from the graph's covariance independence row."""
+    """Sample `trials` models and count, per trial, the entries of
+    `_pair_plan` where an exact zero minor disagrees with the graph's
+    covariance independence row, read once by position."""
     if g.n > MAX_FAITHFULNESS_NODES:
         raise SizeLimitError(
             f"faithfulness sweep limited to {MAX_FAITHFULNESS_NODES} nodes")
     _require_trials(trials)
-    mismatches = [bad for _row, bad in _trials(g, _criterion_pairs(g), trials, seed)]
+    independent = _independence_row(g, GraphKind.COVARIANCE)
+    expected = [independent[p] for p, _k, _ij in _pair_plan(g.n)]
+    mismatches = [sum(map(ne, row, expected)) for row in _trials(g, trials, seed)]
     return FaithfulnessReport(g.n, trials, mismatches)
 
 
@@ -421,8 +414,8 @@ def corollaries_sweep(
 
     A faithful trial's row is the criterion's row, so every faithful trial
     of a graph shares one recovery, checked once per graph on its
-    criterion pairs, the same read `_trials` counts mismatches against;
-    an unfaithful trial checks its own.  Each size reads the criterion
+    criterion pairs, the row every faithful trial equals; an unfaithful
+    trial checks its own.  Each size reads the criterion
     pairs of all its connected graphs from one lane family
     (`_connected_pairs`).  Graph i (counting from 0 over all sizes, in
     `connected_ugs` order) draws its trials from seed `seed + 7919 * i`.
@@ -436,8 +429,8 @@ def corollaries_sweep(
         for g, expected in _connected_pairs(n):
             ok = _recovery_ok(*_recovered(n, expected))
             faithful = 0
-            for t, (row, bad) in enumerate(_trials(g, expected, trials, seed + 7919 * graphs)):
-                if bad:
+            for t, row in enumerate(_trials(g, trials, seed + 7919 * graphs)):
+                if row != expected:
                     artifacts += not _recovery_ok(*_recovered(n, row))
                     continue
                 faithful += 1

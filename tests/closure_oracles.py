@@ -78,7 +78,7 @@ def naive_saturate(g: MixedGraph, _reverse_sweep: bool = False) -> NaiveClosure:
         )
         return True
 
-    for i, j in g.undirected:
+    for i, j in sorted(g.undirected):
         add(bit(i), bit(j), 0, RULE_BASE, (), ())
 
     # (X, Y, Z, W) with X, Y, W nonempty, and (X, Y, Z, K) with X, Y

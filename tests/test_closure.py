@@ -190,6 +190,20 @@ class TestSaturate:
         for g in graphs:
             assert saturate(g).established == saturate_swept(g, reverse=True).established, g
 
+    def test_equal_graphs_give_equal_states(self):
+        # the base is seeded in canonical order, not in the iteration
+        # order of the edge set, which follows how the set was built
+        rng = random.Random(20261022)
+        for _ in range(100):
+            g = random_ug(rng.randint(4, 6), rng)
+            edges = [(g.labels[i], g.labels[j]) for i, j in g.undirected]
+            states = []
+            for _ in range(2):
+                rng.shuffle(edges)
+                states.append(saturate(MixedGraph.ug(g.labels, edges)))
+            assert states[0] == states[1], g
+            assert list(states[0].provenance) == list(states[1].provenance), g
+
     def test_antecedents_precede_conclusions(self):
         state = saturate(cycle4())
         for t, d in state.provenance.items():

@@ -37,7 +37,7 @@ from covgraph import (
     submasks,
     trial_seed,
 )
-from covgraph.gaussian import _dominant, _draw, _leading_minors, _minors
+from covgraph.gaussian import _dominant, _draw, _leading_minors, _minor_steps, _minors
 from covgraph.separation import _dependence_row, _independence_row
 from covgraph.verify import (MAX_FAILURES_KEPT, _pair_plan, _recovered, _recovery_ok,
                              _trials, corollaries_sweep)
@@ -56,7 +56,7 @@ def pair_table(g):
     """(i, j, K, verdict) for each entry of `_pair_plan(g.n)`, the verdict
     read from the graph's covariance independence row at its position."""
     row = _independence_row(g, COV)
-    return [(i, j, k, row[p]) for p, i, j, k in _pair_plan(g.n)]
+    return [(*divmod(ij, g.n), k, row[p]) for p, k, ij in _pair_plan(g.n)]
 
 
 class TestLeadingMinors:
@@ -535,9 +535,9 @@ class TestPairVerdicts:
     def test_lists_the_single_node_triples_in_order(self):
         for n in range(7):
             triples = canonical_triples(n)
-            assert [triples[p] for p, _i, _j, _k in _pair_plan(n)] == \
+            assert [triples[p] for p, _k, _ij in _pair_plan(n)] == \
                 [t for t in triples if t.x.bit_count() == t.y.bit_count() == 1]
-            assert [(bit(i), bit(j), k) for _p, i, j, k in _pair_plan(n)] == \
+            assert [(bit(ij // n), bit(ij % n), k) for _p, k, ij in _pair_plan(n)] == \
                 [(triples[p].x, triples[p].y, triples[p].z) for p, *_ in _pair_plan(n)]
 
     @pytest.mark.parametrize("n", range(9))
@@ -550,9 +550,9 @@ class TestPairVerdicts:
         full = (1 << n) - 1
         plan = _pair_plan(n)
         assert canonical_triples(n)[:m] == tuple(CITriple(bit(i), bit(j), 0) for i, j in pairs)
-        assert plan[:m] == tuple((q, i, j, 0) for q, (i, j) in enumerate(pairs))
-        assert [(i, j, k) for _p, i, j, k in plan[len(plan) - m:]] == \
-            [(i, j, full & ~bit(i) & ~bit(j)) for i, j in pairs]
+        assert plan[:m] == tuple((q, 0, i * n + j) for q, (i, j) in enumerate(pairs))
+        assert [(k, ij) for _p, k, ij in plan[len(plan) - m:]] == \
+            [(full & ~bit(i) & ~bit(j), i * n + j) for i, j in pairs]
 
 
 class TestPairVerdictsReachTable:
@@ -623,10 +623,9 @@ class TestTrialRows:
         return ok
 
     @classmethod
-    def _check_trial(cls, g, table, seed, t, row, bad):
+    def _check_trial(cls, g, table, seed, t, row):
         model = sample_markov_gaussian(g, trial_seed(seed, t))
         assert row == [ci_test(model, i, j, k) for i, j, k, _v in table]
-        assert bad == sum(got != v for got, (_i, _j, _k, v) in zip(row, table))
         cls._check_recovery(g, row, covariance_graph_of(model, DEFAULT_TOL, g.labels),
                             concentration_graph_of(model, DEFAULT_TOL, g.labels))
 
@@ -635,9 +634,17 @@ class TestTrialRows:
             for index, g in enumerate(connected_ugs(n)):
                 seed = 7919 * index
                 table = pair_table(g)
-                expected = [v for _i, _j, _k, v in table]
-                for t, (row, bad) in enumerate(_trials(g, expected, 5, seed)):
-                    self._check_trial(g, table, seed, t, row, bad)
+                for t, row in enumerate(_trials(g, 5, seed)):
+                    self._check_trial(g, table, seed, t, row)
+
+    def test_report_counts_each_trials_mismatches(self, monkeypatch):
+        # draws of the complete graph on g's labels read every pair
+        # dependent, so each trial disagrees with g's criterion on exactly
+        # the pairs g reads independent
+        monkeypatch.setattr("covgraph.verify._draw", complete_graph_draw)
+        for g in [*connected_ugs(3), cycle4()]:
+            independent = sum(v for _i, _j, _k, v in pair_table(g))
+            assert faithfulness_report(g, 3, 5).mismatches_per_trial == [independent] * 3
 
     @staticmethod
     def _artifact_trial():
@@ -654,8 +661,7 @@ class TestTrialRows:
         # flipped two dependences, (0, 4, 0b01110) and (0, 4, 0b01010),
         # whose exactly nonzero minors fell under it
         g, seed, table, model = self._artifact_trial()
-        row, bad = list(_trials(g, [v for _i, _j, _k, v in table], 24, seed))[23]
-        assert bad == 0
+        row = list(_trials(g, 24, seed))[23]
         assert row == [v for _i, _j, _k, v in table]
         flipped = [(i, j, k) for i, j, k, v in table if ci_test(model, i, j, k) != v]
         assert flipped == []
@@ -676,7 +682,7 @@ class TestTrialRows:
         for index, g in enumerate(graphs):
             seed = 7919 * (44 + index)  # corollaries_sweep's seed for this graph
             table = pair_table(g)
-            (row, _bad), = _trials(g, [v for _i, _j, _k, v in table], 1, seed)
+            row, = _trials(g, 1, seed)
             model = sample_markov_gaussian(g, trial_seed(seed, 0))
             assert row == [ci_test(model, i, j, k) for i, j, k, _v in table]
 
@@ -693,7 +699,7 @@ class TestTrialRows:
             # the reference selects by K, not by block: the plan entries
             # whose K is `given` minus i, j
             graphs = [MixedGraph(g.n, g.labels, frozenset(
-                (i, j) for q, (_p, i, j, k) in enumerate(_pair_plan(g.n))
+                (i, j) for q, (i, j, k, _v) in enumerate(table)
                 if k == given & ~bit(i) & ~bit(j) and not row[q]))
                 for given in (0, g.full_mask)]
             same_components = len({tuple(connectivity_components(h)) for h in graphs}) == 1
@@ -760,7 +766,7 @@ class TestMinors:
             outside = [a for a in range(n) if not k >> a & 1]
             for a in outside:
                 for b in outside:
-                    if a == b and k.bit_count() == n - 2:
+                    if a == b and (k.bit_count() == n - 2 or a < k.bit_length()):
                         continue  # no larger K reads this pivot
                     sub = [[sigma[r][c] for c in [b, *ks]] for r in [a, *ks]]
                     assert table[k][a * n + b] == exact_det(sub) * 2 ** (shift * (len(ks) + 1))
@@ -779,6 +785,27 @@ class TestMinors:
         for _g, sigma in integer_models():
             checked += self._check_against_fractions(sigma)
         assert checked > 15_000
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_steps_compute_only_the_cells_read(self, n):
+        # each step computes a != b outside K, and (a, a) only for a above
+        # K's top node, the pivot of K plus a, which exists when
+        # |K| <= n - 3; each cell reads only S or its parent's cells
+        computed = {0: set(range(n * n))}
+        for mask, parent, kk, cells in _minor_steps(n):
+            k, size = mask.bit_length() - 1, mask.bit_count()
+            assert parent == mask ^ bit(k) and kk == k * n + k
+            out = [a for a in range(n) if not mask >> a & 1]
+            assert {ab for ab, _ba, _ak, _kb in cells} == \
+                {a * n + b for a in out for b in out if a < b or a == b > k and size <= n - 3}
+            reads = computed[parent]
+            assert kk in reads
+            for ab, ba, ak, kb in cells:
+                a, b = divmod(ab, n)
+                assert (ba, ak, kb) == (b * n + a, a * n + k, k * n + b)
+                assert {ab, ak, kb} <= reads
+            computed[mask] = {c for cell in cells for c in cell[:2]}
+        assert set(computed) == {0} | {m for m in range(1, 1 << n) if m.bit_count() <= n - 2}
 
     def test_graph_verdicts_are_sound_on_unfaithful_integer_models(self):
         # exact cancellations, which sampled floats never produce: a model

@@ -18,8 +18,8 @@ from covgraph.separation import (UG_READINGS, _dependence_row, _independence_row
 from covgraph.smallgraphs import (all_forests, all_ug_lanes, all_ugs, connected_ugs, iter_lanes,
                                   node_pairs, random_ug, random_ug_lanes)
 from covgraph.verify import (MAX_FAILURES_KEPT, MAX_LATENT_NODES, _closure_check,
-                             _connected_pairs, _criterion_pairs, _describe, _forest_check,
-                             _latent_check, _latent_parents, corollaries_sweep, forest_sweep,
+                             _connected_pairs, _describe, _forest_check, _latent_check,
+                             _latent_parents, _pair_plan, corollaries_sweep, forest_sweep,
                              latent_sweep, theorems_sweep)
 
 COV = GraphKind.COVARIANCE
@@ -179,7 +179,9 @@ class TestConnectedLanes:
     def test_lane_read_criterion_pairs(self, n):
         # each connected graph's expected row, read from one lane family,
         # is the per-graph read of its covariance independence row
-        assert list(_connected_pairs(n)) == [(g, _criterion_pairs(g)) for g in connected_ugs(n)]
+        plan = _pair_plan(n)
+        rows = [(g, _independence_row(g, COV)) for g in connected_ugs(n)]
+        assert list(_connected_pairs(n)) == [(g, [row[p] for p, _k, _ij in plan]) for g, row in rows]
 
     @pytest.mark.parametrize("n", range(9))
     def test_one_pair_tuple_per_size(self, n):
