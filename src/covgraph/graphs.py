@@ -79,6 +79,26 @@ def reachable(adj: Sequence[NodeSet], start: NodeSet, allowed: NodeSet) -> NodeS
     return reached
 
 
+def _lane_reach(links: Sequence[Sequence[tuple[int, int]]], seed: Sequence[int]) -> list[int]:
+    """`reachable` in every lane at once: entry v holds the lanes in
+    which node v is reached from the lanes `seed`, where `links[v]` lists
+    each step (w, lanes) out of v with the lanes that hold it.  Sweeps the
+    nodes in index order, skipping those reached in no lane yet, until a
+    sweep changes nothing: one and-or per step over whole lane masks,
+    where a worklist of the lanes new to each node splits a wide family
+    into many small pushes and ran several times slower."""
+    reach = list(seed)
+    before = None
+    while reach != before:
+        before = reach[:]
+        for v, steps in enumerate(links):
+            here = reach[v]
+            if here:
+                for w, lanes in steps:
+                    reach[w] |= here & lanes
+    return reach
+
+
 class GraphKind(enum.Enum):
     """How a graph is read as an independence model."""
 
@@ -357,19 +377,21 @@ def latent_dag(g: MixedGraph) -> LatentDag:
     edges = sorted(g.undirected)
     if g.n + len(edges) > MAX_NODES:
         raise SizeLimitError("latent construction would exceed the node capacity")
-    labels = list(g.labels)
+    # each label, in node order, with what holds it
+    holder = dict.fromkeys(g.labels, "a node label of the graph")
     arrows = []
     latents = []
     for idx, (a, b) in enumerate(edges):
         latent = g.n + idx
         name = "L_{}_{}".format(*sorted((g.labels[a], g.labels[b])))
-        if name in g.label_index or name in labels[g.n:]:
-            raise ValueError(f"latent label {name!r} collides with an existing label")
-        labels.append(name)
+        edge = f"{g.labels[a]} -- {g.labels[b]}"
+        if name in holder:
+            raise ValueError(f"latent label {name!r} of {edge} collides with {holder[name]}")
+        holder[name] = f"the latent of {edge}"
         arrows.append((latent, a))
         arrows.append((latent, b))
         latents.append((a, b, latent))
-    dag = MixedGraph(len(labels), tuple(labels), frozenset(), frozenset(arrows))
+    dag = MixedGraph(len(holder), tuple(holder), frozenset(), frozenset(arrows))
     return LatentDag(dag, tuple(latents))
 
 

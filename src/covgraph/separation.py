@@ -33,6 +33,7 @@ from .graphs import (
     MixedGraph,
     NodeSet,
     SizeLimitError,
+    _lane_reach,
     ancestors,
     bit,
     components,
@@ -474,24 +475,6 @@ def _lane_rows(lanes, kind: GraphKind) -> tuple[list[int], list[int]]:
         independent.append(full ^ met)
         dependent.append(once)
     return independent, dependent
-
-
-def _lane_reach(links: Sequence[Sequence[tuple[int, int]]], seed: Sequence[int]) -> list[int]:
-    """For each node, the lanes in which steps along `links` reach it
-    from the seed: node v starts reached in the lanes `seed[v]`, and
-    `links[v]` lists each step (w, lanes) out of v with the lanes that
-    hold it.  Each pushed step carries only the lanes new to its end, so
-    every lane of every node is pushed at most once."""
-    reach = list(seed)
-    stack = [(v, lanes) for v, lanes in enumerate(seed) if lanes]
-    while stack:
-        v, new = stack.pop()
-        for w, lanes in links[v]:
-            add = new & lanes & ~reach[w]
-            if add:
-                reach[w] |= add
-                stack.append((w, add))
-    return reach
 
 
 def _lane_dag_independence_row(pa: Sequence[Sequence[int]], full: int, n: int) -> list[int]:

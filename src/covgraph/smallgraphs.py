@@ -11,7 +11,7 @@ from itertools import combinations
 from operator import and_, or_
 from typing import Iterator, Sequence
 
-from .graphs import MixedGraph
+from .graphs import MixedGraph, _lane_reach
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -85,19 +85,13 @@ class UGLanes:
         return _from_edge_bits(self.n, self.graphs[k])
 
     def connected(self) -> int:
-        """The lanes whose graph is connected.  Node 0's reach grows along
-        every edge for n - 1 rounds; a shortest path has at most n - 1
-        edges, and each round extends the reach by at least one step of
-        it.  A lane is connected where its reach holds every node.  With
-        no nodes there is no reach and no lane: `connected_ugs(0)` is empty."""
+        """The lanes whose graph is connected: those where node 0's lane
+        reach along every edge (`_lane_reach`) holds every node.  With no
+        nodes there is no reach and no lane: `connected_ugs(0)` is empty."""
         if not self.n:
             return 0
-        reach = [self.full] + [0] * (self.n - 1)
-        for _ in range(self.n - 1):
-            for u, row in enumerate(self.adj):
-                for v, edge in enumerate(row):
-                    reach[v] |= reach[u] & edge
-        return reduce(and_, reach)
+        links = [[(v, edge) for v, edge in enumerate(row) if edge] for row in self.adj]
+        return reduce(and_, _lane_reach(links, [self.full] + [0] * (self.n - 1)))
 
     def forests(self) -> int:
         """The lanes whose graph is a forest, that is, has an empty 2-core (Seidman

@@ -13,6 +13,7 @@ from covgraph import (CITriple, GraphKind, MixedGraph, bit, canonical_triples,
                       verify_forest_faithfulness, verify_latent_equivalence)
 from covgraph import separation, verify
 from covgraph.closure import _lane_closure
+from covgraph.graphs import _lane_reach, reachable
 from covgraph.separation import (UG_READINGS, _dependence_row, _independence_row,
                                  _independent, _lane_dag_independence_row, _lane_rows)
 from covgraph.smallgraphs import (all_forests, all_ug_lanes, all_ugs, connected_ugs, iter_lanes,
@@ -317,6 +318,35 @@ def random_dag(size, rng):
     return MixedGraph.dag(labels, arrows)
 
 
+class TestLaneReach:
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_matches_reachable_in_every_lane(self, size):
+        # seeded random link systems, with cycles and several seeded nodes:
+        # lane k of the reach is `reachable` on lane k's own steps
+        rng = random.Random(3800 + size)
+        width = rng.choice([1, 64, 4096])
+        full = (1 << width) - 1
+        links = [[(w, rng.getrandbits(width)) for w in range(size) if rng.random() < 0.4]
+                 for _ in range(size)]
+        seed = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(size)]
+        reach = _lane_reach(links, seed)
+        assert len(reach) == size and all(r & ~full == 0 for r in reach)
+        for k in range(width):
+            adj = [sum(bit(w) for w, lanes in steps if lanes >> k & 1) for steps in links]
+            start = sum(bit(v) for v in range(size) if seed[v] >> k & 1)
+            got = reachable(adj, start, (1 << size) - 1)
+            assert [r >> k & 1 for r in reach] == [got >> v & 1 for v in range(size)], k
+
+    @pytest.mark.parametrize("m", [2, 3, 12])
+    def test_reversed_chain_sweeps_until_nothing_changes(self, m):
+        # every step runs against the sweep order, so m nodes take m - 1
+        # sweeps; lane k lacks the step k + 1 -> k, and lane m - 1 has all
+        full = (1 << m) - 1
+        links = [[]] + [[(v - 1, full & ~bit(v - 1))] for v in range(1, m)]
+        reach = _lane_reach(links, [0] * (m - 1) + [full])
+        assert reach == [bit(w) - 1 | bit(m - 1) for w in range(m)]
+
+
 class TestLaneDagRow:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_latent_dag_of_every_labeled_ug(self, n):
@@ -327,10 +357,11 @@ class TestLaneDagRow:
         for k, expected in enumerate(want):
             assert lane(row, k) == expected, lanes.graph(k)
 
-    @pytest.mark.parametrize("size", range(1, 7))
+    @pytest.mark.parametrize("size", range(1, 11))
     def test_random_dags_with_shuffled_orders(self, size):
         # the row knows nothing of the latent shape: any DAG, read over all
-        # of its nodes or over its first nodes only
+        # of its nodes or over its first nodes only; past 6 nodes, over
+        # the first ceil(size / 2) only
         rng = random.Random(2029 + size)
         dags = [random_dag(size, rng) for _ in range(40)]
         pa = [[0] * size for _ in range(size)]
@@ -338,7 +369,7 @@ class TestLaneDagRow:
             for tail, head in h.directed:
                 pa[head][tail] |= 1 << k
         assert sum(1 for h in dags if h.directed) > 30 or size < 3
-        for n in {size, (size + 1) // 2}:
+        for n in {size, (size + 1) // 2} if size <= 6 else {(size + 1) // 2}:
             row = _lane_dag_independence_row(pa, (1 << len(dags)) - 1, n)
             for k, expected in enumerate(dag_rows(dags, n)):
                 assert lane(row, k) == expected, (dags[k], n)
@@ -378,12 +409,16 @@ class TestLaneDagRow:
         with pytest.raises(AssertionError, match="per-lane"):
             verify_latent_equivalence(MixedGraph.ug("AB", [("A", "B")]))
 
-    @pytest.mark.parametrize("n, count", [(6, 2048), (7, 512)])
+    @pytest.mark.parametrize("n, count", [(6, 32768), (7, 2048)])
     def test_latent_equivalence_past_the_sweep_sizes(self, n, count):
-        # `latent_sweep` stops at MAX_LATENT_NODES; random families of the
-        # next two sizes, with 21- and 28-node lane DAGs, agree as well
+        # `latent_sweep` stops at MAX_LATENT_NODES; every labeled 6-node UG
+        # and a random 7-node family, with 21- and 28-node lane DAGs, agree
+        # as well
         assert n > MAX_LATENT_NODES
-        lanes = random_ug_lanes(n, count, random.Random(2032 + n))
+        if count == 1 << len(node_pairs(n)):
+            lanes = all_ug_lanes(n)
+        else:
+            lanes = random_ug_lanes(n, count, random.Random(2032 + n))
         checked, criterion, latent, _lines = _latent_check(lanes)
         assert checked == lanes.full and checked.bit_count() == count
         assert [c & checked for c in criterion] == [d & checked for d in latent]

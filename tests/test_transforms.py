@@ -96,6 +96,20 @@ class TestLatentDag:
         with pytest.raises(ValueError, match="collides"):
             latent_dag(g)
 
+    def test_collision_names_what_holds_the_label(self):
+        # a node label, or the latent of another edge: the message names
+        # the edge whose latent is refused and what already holds the name
+        g = MixedGraph.ug(("A", "B", "L_A_B"), [("A", "B")])
+        with pytest.raises(ValueError) as exc:
+            latent_dag(g)
+        assert str(exc.value) == ("latent label 'L_A_B' of A -- B collides with "
+                                  "a node label of the graph")
+        g = MixedGraph.ug(("A_B", "C", "A", "B_C"), [("A_B", "C"), ("A", "B_C")])
+        with pytest.raises(ValueError) as exc:
+            latent_dag(g)
+        assert str(exc.value) == ("latent label 'L_A_B_C' of A -- B_C collides with "
+                                  "the latent of A_B -- C")
+
     def test_capacity_guard(self):
         # a 33-node path needs 33 + 32 = 65 nodes
         labels = tuple(f"N{i}" for i in range(33))
